@@ -14,7 +14,7 @@ import "math"
 //
 // Storage is struct-of-arrays: point indices grouped cell by cell in one
 // flat slice (order), with a small span per occupied cell, plus per-point
-// projected coordinates, E7 latitudes and latitude cosines precomputed at
+// projected coordinates, E7 coordinates and latitude cosines precomputed at
 // build time. Queries therefore walk contiguous arrays and decide most
 // candidates with integer and certified fast-bound tests (see
 // fastdist.go), calling the trigonometric haversine only for borderline
@@ -29,8 +29,9 @@ type GridIndex struct {
 	px, py []float64 // projected planar meters per point
 	cosLat []float64 // CosLat per point
 	latE7  []int32   // E7 latitude per point
+	lonE7  []int32   // E7 longitude per point
 
-	// Occupied-cell extent, precomputed so Nearest can bound its ring
+	// Occupied-cell extent, precomputed so NearestWithin can bound its ring
 	// expansion in O(1) instead of scanning every cell per query.
 	minCX, maxCX, minCY, maxCY int32
 }
@@ -61,6 +62,7 @@ func NewGridIndex(pts []LatLon, cellMeters float64) *GridIndex {
 	g.py = make([]float64, n)
 	g.cosLat = make([]float64, n)
 	g.latE7 = make([]int32, n)
+	g.lonE7 = make([]int32, n)
 	g.order = make([]int32, n)
 	keys := make([]gridKey, n)
 	counts := make(map[gridKey]int32, n/4+1)
@@ -69,6 +71,7 @@ func NewGridIndex(pts []LatLon, cellMeters float64) *GridIndex {
 		g.px[i], g.py[i] = x, y
 		g.cosLat[i] = CosLat(p)
 		g.latE7[i] = E7(p.Lat)
+		g.lonE7[i] = E7(p.Lon)
 		k := gridKey{cx: int32(math.Floor(x / g.cell)), cy: int32(math.Floor(y / g.cell))}
 		keys[i] = k
 		counts[k]++
@@ -172,31 +175,74 @@ func (g *GridIndex) Within(q LatLon, radius float64, dst []int) []int {
 	return dst
 }
 
-// Nearest returns the index of the point closest to q and its distance in
-// meters, or (-1, +Inf) when the index is empty. It expands the search
-// ring by ring so typical queries touch only a few cells.
-func (g *GridIndex) Nearest(q LatLon) (int, float64) {
-	if len(g.pts) == 0 {
+// NearestWithin returns the index of the point closest to q among those
+// within maxDist meters (great-circle), and its distance, or (-1, +Inf)
+// when no indexed point is that close. maxDist may be +Inf for an
+// unbounded search.
+//
+// The search expands ring by ring around q's cell — each ring's
+// perimeter row-major, each cell's points in ascending index — and keeps
+// the first strictly nearer point, so ties go to the earliest point in
+// that order. It stops once a ring's extent covers the best distance,
+// and never goes past ring ceil(maxDist/cell). Candidates outside q's
+// certified E7 box are rejected with integer compares before any float
+// work, and cells that cannot hold such a candidate are not visited;
+// when the box crosses the antimeridian the rings around q's image 360°
+// away are searched too.
+func (g *GridIndex) NearestWithin(q LatLon, maxDist float64) (int, float64) {
+	if len(g.pts) == 0 || !(maxDist >= 0) {
 		return -1, math.Inf(1)
 	}
-	best := -1
-	bestDist := math.Inf(1)
 	cosQ := CosLat(q)
-	ck := g.keyFor(q)
-	// Upper bound on rings: enough to cover the whole indexed extent.
-	maxRing := int32(1)
-	for _, d := range [4]int32{g.minCX - ck.cx, g.maxCX - ck.cx, g.minCY - ck.cy, g.maxCY - ck.cy} {
-		if d < 0 {
-			d = -d
-		}
-		if d > maxRing {
-			maxRing = d
-		}
+	s := nearestSearch{
+		q: q, cosQ: cosQ, box: newE7Box(q, cosQ, maxDist), maxDist: maxDist,
+		hlMax: hlLimit(maxDist), hlBest: math.Inf(1), best: -1, bestDist: math.Inf(1),
+	}
+	g.searchRings(&s, q)
+	if lon, ok := s.box.wraps(q.Lon); ok {
+		g.searchRings(&s, LatLon{Lat: q.Lat, Lon: lon})
+	}
+	return s.best, s.bestDist
+}
+
+// nearestSearch is the state of one NearestWithin query.
+type nearestSearch struct {
+	q        LatLon
+	cosQ     float64
+	box      e7Box
+	maxDist  float64
+	hlMax    float64 // hlLimit(maxDist)
+	hlBest   float64 // hlLimit(bestDist)
+	best     int
+	bestDist float64
+}
+
+// searchRings runs the ring expansion of NearestWithin around the cell
+// of c, which is the query point or its image 360° away.
+func (g *GridIndex) searchRings(s *nearestSearch, c LatLon) {
+	ck := g.keyFor(c)
+	// Cells that can hold a point inside the box: the projection is
+	// monotone in each coordinate, so the cells of the box's edges (plus
+	// a unit of E7 rounding each side) bound those of every point in it.
+	x0, x1, y0, y1 := g.minCX, g.maxCX, g.minCY, g.maxCY
+	if s.box.dLat < math.MaxInt32 {
+		w := float64(s.box.dLat+2)*1e-7 + 1e-9
+		y0 = max(y0, g.keyFor(LatLon{Lat: c.Lat - w, Lon: c.Lon}).cy)
+		y1 = min(y1, g.keyFor(LatLon{Lat: c.Lat + w, Lon: c.Lon}).cy)
+	}
+	if s.box.dLon < e7Span/2 {
+		w := float64(s.box.dLon+2)*1e-7 + 1e-9
+		x0 = max(x0, g.keyFor(LatLon{Lat: c.Lat, Lon: c.Lon - w}).cx)
+		x1 = min(x1, g.keyFor(LatLon{Lat: c.Lat, Lon: c.Lon + w}).cx)
+	}
+	// Rings needed to cover those cells, capped by maxDist.
+	maxRing := max(ck.cx-x0, x1-ck.cx, ck.cy-y0, y1-ck.cy)
+	if capRing := math.Ceil(s.maxDist / g.cell); capRing < float64(maxRing) {
+		maxRing = int32(capRing)
 	}
 	for ring := int32(0); ring <= maxRing; ring++ {
-		found := false
-		for cy := ck.cy - ring; cy <= ck.cy+ring; cy++ {
-			for cx := ck.cx - ring; cx <= ck.cx+ring; cx++ {
+		for cy := max(ck.cy-ring, y0); cy <= min(ck.cy+ring, y1); cy++ {
+			for cx := max(ck.cx-ring, x0); cx <= min(ck.cx+ring, x1); cx++ {
 				// Only the ring perimeter; inner cells were already scanned.
 				if ring > 0 && cx != ck.cx-ring && cx != ck.cx+ring &&
 					cy != ck.cy-ring && cy != ck.cy+ring {
@@ -207,28 +253,30 @@ func (g *GridIndex) Nearest(q LatLon) (int, float64) {
 					continue
 				}
 				for _, idx := range g.order[sp.start:sp.end] {
-					found = true
-					p := g.pts[idx]
-					// A candidate whose certified lower bound already
-					// meets the incumbent cannot beat it (d >= lb >=
-					// bestDist fails d < bestDist); skip the haversine.
-					lb, _ := DistBounds(q, p, cosQ*g.cosLat[idx])
-					if lb >= bestDist {
+					if s.box.rejects(g.latE7[idx], g.lonE7[idx]) {
 						continue
 					}
-					d := Distance(q, p)
-					if d < bestDist {
-						bestDist = d
-						best = int(idx)
+					p := g.pts[idx]
+					// A candidate whose certified lower bound exceeds
+					// maxDist or meets the incumbent cannot win (d >= lb
+					// fails d <= maxDist or d < bestDist); skip the
+					// haversine. The bound is compared squared.
+					hl := lowerH(math.Abs(s.q.Lat-p.Lat), math.Abs(s.q.Lon-p.Lon), s.cosQ*g.cosLat[idx])
+					if hl > s.hlMax || hl >= s.hlBest {
+						continue
+					}
+					if d := Distance(s.q, p); d <= s.maxDist && d < s.bestDist {
+						s.bestDist = d
+						s.hlBest = hlLimit(d)
+						s.best = int(idx)
 					}
 				}
 			}
 		}
-		// Once something is found, one extra ring guarantees correctness
-		// (a nearer point can hide in the next ring due to cell geometry).
-		if found && best >= 0 && bestDist <= float64(ring)*g.cell {
-			break
+		// A point in a later ring is more than ring·cell away in the
+		// projection, so it cannot beat a best distance within that.
+		if s.best >= 0 && s.bestDist <= float64(ring)*g.cell {
+			return
 		}
 	}
-	return best, bestDist
 }

@@ -75,23 +75,31 @@ func TestGridWithinProperty(t *testing.T) {
 	}
 }
 
+// bruteNearestWithin is the definition NearestWithin must match: the
+// lowest-index point at the smallest distance among those within maxDist.
+func bruteNearestWithin(pts []LatLon, q LatLon, maxDist float64) (int, float64) {
+	best, bestDist := -1, math.Inf(1)
+	for i, p := range pts {
+		if d := Distance(q, p); d <= maxDist && d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best, bestDist
+}
+
 func TestGridNearestMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(500, 10000, 4)
 	g := NewGridIndex(pts, 400)
 	s := rng.New(5)
 	for trial := 0; trial < 100; trial++ {
 		q := Destination(sb, s.Range(0, 360), s.Range(0, 12000))
-		gotIdx, gotDist := g.Nearest(q)
-		wantIdx, wantDist := -1, math.Inf(1)
-		for i, p := range pts {
-			if d := Distance(q, p); d < wantDist {
-				wantDist = d
-				wantIdx = i
+		for _, maxDist := range []float64{math.Inf(1), s.Range(50, 1500)} {
+			gotIdx, gotDist := g.NearestWithin(q, maxDist)
+			wantIdx, wantDist := bruteNearestWithin(pts, q, maxDist)
+			if gotIdx != wantIdx || gotDist != wantDist {
+				t.Fatalf("trial %d maxDist %g: nearest got (%d, %.3f), want (%d, %.3f)",
+					trial, maxDist, gotIdx, gotDist, wantIdx, wantDist)
 			}
-		}
-		if gotIdx != wantIdx && math.Abs(gotDist-wantDist) > 1e-9 {
-			t.Fatalf("trial %d: nearest got (%d, %.3f), want (%d, %.3f)",
-				trial, gotIdx, gotDist, wantIdx, wantDist)
 		}
 	}
 }
@@ -101,9 +109,11 @@ func TestGridEmpty(t *testing.T) {
 	if got := g.Within(sb, 1000, nil); len(got) != 0 {
 		t.Errorf("Within on empty index returned %v", got)
 	}
-	idx, dist := g.Nearest(sb)
-	if idx != -1 || !math.IsInf(dist, 1) {
-		t.Errorf("Nearest on empty index = (%d, %g)", idx, dist)
+	for _, maxDist := range []float64{math.Inf(1), 1000} {
+		idx, dist := g.NearestWithin(sb, maxDist)
+		if idx != -1 || !math.IsInf(dist, 1) {
+			t.Errorf("NearestWithin(%g) on empty index = (%d, %g)", maxDist, idx, dist)
+		}
 	}
 }
 
@@ -123,12 +133,18 @@ func TestGridDefaultCell(t *testing.T) {
 
 func TestGridSinglePoint(t *testing.T) {
 	g := NewGridIndex([]LatLon{sb}, 500)
-	idx, dist := g.Nearest(Destination(sb, 90, 12345))
-	if idx != 0 {
-		t.Fatalf("Nearest idx = %d, want 0", idx)
+	q := Destination(sb, 90, 12345)
+	for _, maxDist := range []float64{math.Inf(1), 20000} {
+		idx, dist := g.NearestWithin(q, maxDist)
+		if idx != 0 {
+			t.Fatalf("NearestWithin(%g) idx = %d, want 0", maxDist, idx)
+		}
+		if math.Abs(dist-12345) > 15 {
+			t.Fatalf("NearestWithin(%g) dist = %g, want ~12345", maxDist, dist)
+		}
 	}
-	if math.Abs(dist-12345) > 15 {
-		t.Fatalf("Nearest dist = %g, want ~12345", dist)
+	if idx, dist := g.NearestWithin(q, 10000); idx != -1 || !math.IsInf(dist, 1) {
+		t.Fatalf("NearestWithin(10000) = (%d, %g), want nothing within range", idx, dist)
 	}
 }
 

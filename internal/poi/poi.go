@@ -144,10 +144,12 @@ func (db *DB) Within(q geo.LatLon, radius float64, dst []int) []int {
 	return db.grid.Within(q, radius, dst)
 }
 
-// Nearest returns the POI nearest to q and its distance in meters. The
-// boolean is false when the database is empty.
-func (db *DB) Nearest(q geo.LatLon) (POI, float64, bool) {
-	idx, dist := db.grid.Nearest(q)
+// NearestWithin returns the POI nearest to q among those within maxDist
+// meters, and its distance. The boolean is false when no POI is that
+// close; maxDist may be +Inf. Ties go to the POI the grid's ring scan
+// reaches first (see geo.GridIndex.NearestWithin).
+func (db *DB) NearestWithin(q geo.LatLon, maxDist float64) (POI, float64, bool) {
+	idx, dist := db.grid.NearestWithin(q, maxDist)
 	if idx < 0 {
 		return POI{}, 0, false
 	}

@@ -107,9 +107,15 @@ func TestDBLookups(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("Within(400m) = %v", ids)
 	}
-	near, dist, ok := db.Nearest(geo.Destination(base, 90, 280))
-	if !ok || near.ID != 1 {
-		t.Fatalf("Nearest = %+v (dist %.0f)", near, dist)
+	q := geo.Destination(base, 90, 280)
+	for _, maxDist := range []float64{math.Inf(1), 100} {
+		near, dist, ok := db.NearestWithin(q, maxDist)
+		if !ok || near.ID != 1 || math.Abs(dist-20) > 1 {
+			t.Fatalf("NearestWithin(%g) = %+v (dist %.0f, ok %v)", maxDist, near, dist, ok)
+		}
+	}
+	if near, dist, ok := db.NearestWithin(q, 10); ok {
+		t.Fatalf("NearestWithin(10) = %+v (dist %.0f), want none", near, dist)
 	}
 }
 

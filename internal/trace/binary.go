@@ -67,10 +67,15 @@ const binaryVersion = 1
 const (
 	// coordScale converts degrees to fixed-point E7 ticks.
 	coordScale = 1e7
-	// maxFrameBytes caps a single user frame so a corrupt length prefix
-	// cannot trigger a multi-gigabyte allocation.
+	// maxFrameBytes caps a single user frame's declared length.
 	maxFrameBytes = 1 << 30
-	// maxStringBytes caps an encoded string for the same reason.
+	// frameGrowBytes is the first step by which a buffered frame read
+	// grows its buffer past the bytes that have arrived (steps double
+	// from there), so a forged length prefix costs memory in proportion
+	// to the bytes actually behind it, not to the length it declares.
+	frameGrowBytes = 1 << 20
+	// maxStringBytes caps an encoded string so a corrupt length prefix
+	// cannot force a large allocation.
 	maxStringBytes = 1 << 20
 	// allocHint caps speculative slice preallocation from untrusted
 	// counts; slices grow past it by appending.
@@ -435,8 +440,6 @@ type StreamReader struct {
 	pois  []poi.POI
 	names map[string]string // POI-name intern table, read-only after header
 	seen  map[int]struct{}
-	bufs  sync.Pool // *[]byte, recycled by DecodeFrame
-	upool sync.Pool // *User, recycled by RecycleUser
 	users uint64
 	done  bool
 
@@ -445,6 +448,16 @@ type StreamReader struct {
 	mm    []byte
 	mmPos int
 }
+
+// Decode scratch is pooled process-wide, not per reader: a long-running
+// server opens a reader per job, and per-reader pools would strand each
+// finished job's records until two collections pass. A record or frame
+// buffer carries nothing from one decode to the next (decodeFrame
+// overwrites every field), so any reader may reuse any of them.
+var (
+	frameBufs sync.Pool // *[]byte, recycled by DecodeFrame
+	userPool  sync.Pool // *User, recycled by RecycleUser
+)
 
 // UserRecycler is implemented by frame sources whose DecodeFrame can
 // reuse consumed user records. A consumer that is provably done with a
@@ -459,7 +472,7 @@ type UserRecycler interface {
 // Frame is one undecoded unit of a user stream: a raw binary frame
 // fetched by StreamReader.NextFrame, or an already-decoded user wrapped
 // by SourceFrames. Frames are consumed by DecodeFrame and must not be
-// reused afterwards (the backing buffer returns to the reader's pool).
+// reused afterwards (the backing buffer returns to the buffer pool).
 type Frame struct {
 	data []byte
 	buf  *[]byte // pool box for data, nil when not pooled
@@ -481,13 +494,13 @@ func (f Frame) UserID() (int, error) {
 	return int(id), nil
 }
 
-// Recycle returns an undecoded frame's buffer to the reader's pool
+// Recycle returns an undecoded frame's buffer to the buffer pool
 // without decoding it — the counterpart of DecodeFrame for callers that
 // peek (Frame.UserID) and skip frames. The frame must not be used
 // afterwards.
 func (sr *StreamReader) Recycle(f Frame) {
 	if f.buf != nil {
-		sr.bufs.Put(f.buf)
+		frameBufs.Put(f.buf)
 	}
 }
 
@@ -622,7 +635,7 @@ func (sr *StreamReader) Next() (*User, error) {
 
 // NextFrame fetches the next raw user frame without decoding it, or
 // io.EOF once the end-of-stream trailer has been read and verified. The
-// frame's buffer comes from the reader's pool and is reclaimed by
+// frame's buffer comes from the buffer pool and is reclaimed by
 // DecodeFrame, so each frame must be decoded exactly once.
 func (sr *StreamReader) NextFrame() (Frame, error) {
 	if sr.done {
@@ -650,20 +663,43 @@ func (sr *StreamReader) NextFrame() (Frame, error) {
 	if frameLen > maxFrameBytes {
 		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
 	}
-	bp, _ := sr.bufs.Get().(*[]byte)
+	bp, _ := frameBufs.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
-	if uint64(cap(*bp)) < frameLen {
-		*bp = make([]byte, frameLen)
-	}
-	buf := (*bp)[:frameLen]
-	if _, err := io.ReadFull(sr.r, buf); err != nil {
-		sr.bufs.Put(bp)
+	buf, err := readFrame(sr.r, (*bp)[:0], int(frameLen))
+	*bp = buf[:0]
+	if err != nil {
+		frameBufs.Put(bp)
 		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
 	}
 	sr.users++
 	return Frame{data: buf, buf: bp}, nil
+}
+
+// readFrame reads n bytes from r into buf's storage, growing it in
+// doubling steps of at least frameGrowBytes as bytes arrive rather than
+// all at once, and returns the filled slice (or what arrived before an
+// error).
+func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), frameGrowBytes)))
+			copy(grown, buf)
+			buf = grown
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // nextFrameBytes is NextFrame for the in-memory (mmap) mode: frames are
@@ -700,7 +736,7 @@ func (sr *StreamReader) nextFrameBytes() (Frame, error) {
 	return Frame{data: data}, nil
 }
 
-// RecycleUser returns a decoded user to the reader's record pool so a
+// RecycleUser returns a decoded user to the record pool so a
 // later DecodeFrame can fill it in place (see UserRecycler). The caller
 // must be done with the user and every slice it owns.
 func (sr *StreamReader) RecycleUser(u *User) {
@@ -709,7 +745,7 @@ func (sr *StreamReader) RecycleUser(u *User) {
 	}
 	u.GPS = u.GPS[:0]
 	u.Checkins = u.Checkins[:0]
-	sr.upool.Put(u)
+	userPool.Put(u)
 }
 
 // Users returns the number of user frames fetched so far.
@@ -719,25 +755,25 @@ func (sr *StreamReader) Users() int { return int(sr.users) }
 // (trace invariants and checkin POI references, but not cross-frame
 // duplicate user IDs; see the type comment). It is safe for concurrent
 // calls on distinct frames. The frame's buffer is returned to the
-// reader's pool, so the frame must not be used again.
+// buffer pool, so the frame must not be used again.
 func (sr *StreamReader) DecodeFrame(f Frame) (*User, error) {
 	if f.user != nil {
 		return f.user, nil
 	}
 	u, err := sr.decodeFrame(f.data)
 	if f.buf != nil {
-		sr.bufs.Put(f.buf)
+		frameBufs.Put(f.buf)
 	}
 	return u, err
 }
 
 // decodeFrame decodes one raw frame payload into a validated user. The
-// record comes from the reader's pool when consumers recycle (every
+// record comes from the pool when consumers recycle (every
 // field is overwritten below, so a reused record carries nothing over);
 // otherwise the pool misses and this allocates exactly as before.
 func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 	d := frameDec{data: data}
-	u, _ = sr.upool.Get().(*User)
+	u, _ = userPool.Get().(*User)
 	if u == nil {
 		u = &User{}
 	}

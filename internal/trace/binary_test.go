@@ -7,11 +7,14 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -232,6 +235,39 @@ func TestBinaryTruncationRejected(t *testing.T) {
 	}
 	if _, err := trace.ReadBinary(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("full stream failed to decode: %v", err)
+	}
+}
+
+// TestForgedFrameLengthAllocBounded: on the buffered read path (gzip
+// shards, uploads, spool files) a frame that declares the maximum length
+// and then ends must fail as truncated, and the read must allocate in
+// proportion to the bytes that arrived, not to the declared length.
+func TestForgedFrameLengthAllocBounded(t *testing.T) {
+	ds := &trace.Dataset{
+		Name: "forged",
+		POIs: []poi.POI{{ID: 0, Name: "A", Category: poi.Food, Loc: geo.LatLon{Lat: 34.4208, Lon: -119.6982}}},
+	}
+	var buf bytes.Buffer
+	if err := ds.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Drop the end-of-stream sentinel and the zero user count, then
+	// declare a 1 GiB frame with nothing behind it.
+	raw := buf.Bytes()[:buf.Len()-2]
+	raw = binary.AppendUvarint(raw, 1<<30)
+	sr, err := trace.NewStreamReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = sr.NextFrame()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("NextFrame on a forged length = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("NextFrame allocated %d bytes for a frame with no payload, want < 4 MiB", got)
 	}
 }
 

@@ -553,12 +553,12 @@ func (r *ShardReader) NextFrame() (Frame, error) {
 // DecodeFrame decodes and validates one frame (see StreamReader.DecodeFrame).
 func (r *ShardReader) DecodeFrame(f Frame) (*User, error) { return r.sr.DecodeFrame(f) }
 
-// Recycle returns an undecoded frame's buffer to the shard reader's
-// pool (see StreamReader.Recycle).
+// Recycle returns an undecoded frame's buffer to the buffer pool (see
+// StreamReader.Recycle).
 func (r *ShardReader) Recycle(f Frame) { r.sr.Recycle(f) }
 
-// RecycleUser returns a consumed user record to the shard reader's pool
-// (see StreamReader.RecycleUser and the UserRecycler contract).
+// RecycleUser returns a consumed user record to the record pool (see
+// StreamReader.RecycleUser and the UserRecycler contract).
 func (r *ShardReader) RecycleUser(u *User) { r.sr.RecycleUser(u) }
 
 // Next decodes the next user serially (NextFrame + DecodeFrame plus a

@@ -44,6 +44,7 @@ const maxStatePoints = 1 << 24
 type Segmenter struct {
 	cfg      Config
 	db       *poi.DB
+	roam     geo.RadiusTest   // RoamRadius, thresholds solved once
 	buf      []trace.GPSPoint // open tail window: fixes not yet finalized
 	lastT    int64            // time of the last fix ever fed
 	have     bool             // at least one fix has been fed
@@ -57,7 +58,7 @@ func NewSegmenter(cfg Config, db *poi.DB) (*Segmenter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Segmenter{cfg: cfg, db: db}, nil
+	return &Segmenter{cfg: cfg, db: db, roam: geo.NewRadiusTest(cfg.RoamRadius)}, nil
 }
 
 // Pending returns the number of fixes held in the open tail window —
@@ -66,20 +67,11 @@ func (s *Segmenter) Pending() int { return len(s.buf) }
 
 // Feed appends fixes to the stream and returns the visits that became
 // decidable. Fixes must continue the trace in non-decreasing time
-// order, across feeds as well as within one.
+// order, across feeds as well as within one. Feed scans pts in place and
+// copies only the undecided tail window; the segmenter never retains pts
+// itself, so the caller may reuse it as soon as Feed returns.
 func (s *Segmenter) Feed(pts []trace.GPSPoint) ([]trace.Visit, error) {
-	if s.finished {
-		return nil, fmt.Errorf("visits: segmenter already finished")
-	}
-	for _, p := range pts {
-		if s.have && p.T < s.lastT {
-			return nil, fmt.Errorf("visits: GPS trace not time-ordered")
-		}
-		s.lastT = p.T
-		s.have = true
-	}
-	s.buf = append(s.buf, pts...)
-	return s.drain(false), nil
+	return s.feed(pts, false)
 }
 
 // Finish flushes the open window with the batch algorithm's
@@ -89,64 +81,130 @@ func (s *Segmenter) Finish() []trace.Visit {
 	if s.finished {
 		return nil
 	}
-	s.finished = true
-	out := s.drain(true)
-	s.buf = nil
+	out, _ := s.feed(nil, true)
 	return out
 }
 
-// drain runs the stay-point scan over the buffered window, emitting
-// every finalized visit. A window is finalized when an observed next
-// fix breaks it (gap or roam) — or unconditionally when finish is set,
-// mirroring the batch scan running out of trace.
-func (s *Segmenter) drain(finish bool) []trace.Visit {
-	var out []trace.Visit
-	for {
-		n := len(s.buf)
-		if n == 0 {
-			return out
-		}
-		anchor := s.buf[0].Loc
-		cosAnchor := geo.CosLat(anchor)
-		j := 0
-		closed := false
-		for j+1 < n {
-			next := s.buf[j+1]
-			if time.Duration(next.T-s.buf[j].T)*time.Second > s.cfg.MaxGap {
-				closed = true
-				break
-			}
-			// Decision-identical to Distance(anchor, next.Loc) >
-			// RoamRadius: certified bounds decide all but borderline
-			// fixes without trigonometry (see geo/fastdist.go).
-			if !geo.WithinRadius(anchor, next.Loc, cosAnchor, s.cfg.RoamRadius) {
-				closed = true
-				break
-			}
-			j++
-		}
-		if !closed && !finish {
-			return out // open window: undecidable until more fixes arrive
-		}
-		if dur := time.Duration(s.buf[j].T-s.buf[0].T) * time.Second; dur >= s.cfg.MinDuration {
-			v := trace.Visit{
-				Start: s.buf[0].T,
-				End:   s.buf[j].T,
-				Loc:   centroid(s.buf[:j+1]),
-				POIID: -1,
-			}
-			if s.db != nil {
-				if p, dist, ok := s.db.Nearest(v.Loc); ok && dist <= s.cfg.SnapRadius {
-					v.POIID = p.ID
-					v.Category = p.Category
-				}
-			}
-			out = append(out, v)
-			s.buf = s.buf[j+1:]
-		} else {
-			s.buf = s.buf[1:]
-		}
+// feed is Feed, and with finish set also Finish: the end-of-trace
+// decision is taken on pts directly, so a one-shot Detect copies no fix
+// at all.
+func (s *Segmenter) feed(pts []trace.GPSPoint, finish bool) ([]trace.Visit, error) {
+	if s.finished {
+		return nil, fmt.Errorf("visits: segmenter already finished")
 	}
+	lastT, have := s.lastT, s.have
+	for _, p := range pts {
+		if have && p.T < lastT {
+			s.lastT, s.have = lastT, have
+			return nil, fmt.Errorf("visits: GPS trace not time-ordered")
+		}
+		lastT, have = p.T, true
+	}
+	s.lastT, s.have = lastT, have
+	out, k := s.drain(pts, finish)
+	if finish {
+		s.finished = true
+		s.buf = nil
+		return out, nil
+	}
+	// Keep the undecided tail — the fixes after the first k of
+	// buf ++ pts — in the segmenter's own buffer.
+	if nb := len(s.buf); k >= nb {
+		s.buf = append(s.buf[:0], pts[k-nb:]...)
+	} else {
+		n := copy(s.buf, s.buf[k:])
+		s.buf = append(s.buf[:n], pts...)
+	}
+	return out, nil
+}
+
+// drain runs the stay-point scan over the window buf ++ pts, emitting
+// every finalized visit, and returns the number of leading fixes it
+// finalized. A window is finalized when an observed next fix breaks it
+// (gap or roam) — or unconditionally when finish is set, mirroring the
+// batch scan running out of trace.
+func (s *Segmenter) drain(pts []trace.GPSPoint, finish bool) ([]trace.Visit, int) {
+	var out []trace.Visit
+	buf := s.buf
+	nb := len(buf)
+	at := func(k int) trace.GPSPoint {
+		if k < nb {
+			return buf[k]
+		}
+		return pts[k-nb]
+	}
+	i := 0
+	for n := nb + len(pts); i < n; {
+		j, closed := s.window(pts, i)
+		if !closed && !finish {
+			break // open window: undecidable until more fixes arrive
+		}
+		first, last := at(i), at(j)
+		if dur := time.Duration(last.T-first.T) * time.Second; dur < s.cfg.MinDuration {
+			i++
+			continue
+		}
+		v := trace.Visit{
+			Start: first.T,
+			End:   last.T,
+			Loc:   centroid(buf[min(i, nb):min(j+1, nb)], pts[max(i, nb)-nb:max(j+1, nb)-nb]),
+			POIID: -1,
+		}
+		if s.db != nil {
+			if p, _, ok := s.db.NearestWithin(v.Loc, s.cfg.SnapRadius); ok {
+				v.POIID = p.ID
+				v.Category = p.Category
+			}
+		}
+		out = append(out, v)
+		i = j + 1
+	}
+	return out, i
+}
+
+// window scans the stay window anchored at fix i of s.buf ++ pts. It
+// returns the index of the window's last fix, and whether an observed
+// fix closed the window (rather than the input running out).
+func (s *Segmenter) window(pts []trace.GPSPoint, i int) (j int, closed bool) {
+	buf := s.buf
+	nb := len(buf)
+	var anchor trace.GPSPoint
+	if i < nb {
+		anchor = buf[i]
+	} else {
+		anchor = pts[i-nb]
+	}
+	roam := s.roam.Around(anchor.Loc)
+	j, prevT := i, anchor.T
+	if i+1 < nb {
+		j += s.extend(buf[i+1:], &roam, prevT)
+		if j+1 < nb {
+			return j, true
+		}
+		prevT = buf[j].T
+	}
+	next := j + 1 - nb // first fix of pts not yet in the window
+	m := s.extend(pts[next:], &roam, prevT)
+	return j + m, next+m < len(pts)
+}
+
+// extend returns how many leading fixes of w continue a stay window
+// whose latest fix is at prevT: each fix must follow its predecessor
+// within MaxGap and lie within RoamRadius of the window's anchor.
+func (s *Segmenter) extend(w []trace.GPSPoint, roam *geo.Disk, prevT int64) int {
+	for k, p := range w {
+		if time.Duration(p.T-prevT)*time.Second > s.cfg.MaxGap {
+			return k
+		}
+		// Decision-identical to Distance(anchor, p.Loc) <= RoamRadius:
+		// squared certified thresholds decide all but borderline fixes
+		// without square roots or trigonometry (see geo/fastdist.go).
+		if !roam.Contains(p.Loc) {
+			return k
+		}
+		prevT = p.T
+	}
+	return len(w)
 }
 
 // EncodeState serializes the open-window state (not the configuration)

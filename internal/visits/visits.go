@@ -73,28 +73,30 @@ func (c Config) Validate() error {
 //
 // Detect is the one-shot form of the Segmenter: it feeds the whole trace
 // and flushes, so batch and incremental segmentation share a single
-// implementation and cannot diverge.
+// implementation and cannot diverge. It scans tr in place and does not
+// retain it.
 func Detect(tr trace.GPSTrace, cfg Config, db *poi.DB) ([]trace.Visit, error) {
 	s, err := NewSegmenter(cfg, db)
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.Feed(tr)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, s.Finish()...), nil
+	return s.feed(tr, true)
 }
 
-// centroid returns the mean coordinate of the fixes. Valid for the small
-// extents of a single stay.
-func centroid(pts []trace.GPSPoint) geo.LatLon {
+// centroid returns the mean coordinate of the fixes a followed by the
+// fixes b, summed in that order. Valid for the small extents of a single
+// stay.
+func centroid(a, b []trace.GPSPoint) geo.LatLon {
 	var lat, lon float64
-	for _, p := range pts {
+	for _, p := range a {
 		lat += p.Loc.Lat
 		lon += p.Loc.Lon
 	}
-	n := float64(len(pts))
+	for _, p := range b {
+		lat += p.Loc.Lat
+		lon += p.Loc.Lon
+	}
+	n := float64(len(a) + len(b))
 	return geo.LatLon{Lat: lat / n, Lon: lon / n}
 }
 

@@ -128,8 +128,13 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	// Scan the earlier shards once, decoding only the touched users'
 	// frames (everything else is a cheap ID peek). A touched user's home
 	// shard — the one its stats live in — is the first shard holding a
-	// frame of it, exactly the cold path's attribution rule.
-	chains := make(map[int][]*trace.User, len(touched))
+	// frame of it, exactly the cold path's attribution rule. chains[i]
+	// holds the frames of touched[i].
+	pos := make(map[int]int, len(touched))
+	for i, id := range touched {
+		pos[id] = i
+	}
+	chains := make([][]*trace.User, len(touched))
 	homeShard := make(map[int]int, len(touched))
 	var db *poi.DB
 	for i := 0; i < old; i++ {
@@ -158,7 +163,8 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 				r.Close()
 				return nil, fmt.Errorf("geosocial: %w", err)
 			}
-			if _, hit := newFrames[id]; !hit {
+			at, hit := pos[id]
+			if !hit {
 				r.Recycle(f)
 				continue
 			}
@@ -170,7 +176,7 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 			if _, ok := homeShard[id]; !ok {
 				homeShard[id] = i
 			}
-			chains[id] = append(chains[id], u)
+			chains[at] = append(chains[at], u)
 		}
 		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
@@ -181,7 +187,9 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	}
 
 	// Fold and revalidate the touched users on the worker pool, in
-	// ascending ID order.
+	// ascending ID order. Each worker drops the frames it folded and,
+	// once the record is built, the folded fixes, so the update holds the
+	// traces of the users in flight rather than of every touched user.
 	v := &core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig}
 	clsParams := classify.DefaultParams()
 	type updOut struct {
@@ -214,7 +222,8 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		if foldCell != nil {
 			t0 = time.Now()
 		}
-		if chain := chains[id]; len(chain) > 0 {
+		if chain := chains[i]; len(chain) > 0 {
+			chains[i] = nil // each worker owns its own index
 			deltas := append(append([]*trace.User(nil), chain[1:]...), newFrames[id]...)
 			u, err = trace.FoldUser(chain[0], deltas)
 		} else {
@@ -244,6 +253,8 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		if err != nil {
 			return updOut{}, err
 		}
+		// The merge below reads only checkins, visits and the match.
+		u.GPS = nil
 		return updOut{out: o, cls: cl, rec: rec}, nil
 	})
 	if err != nil {
@@ -271,8 +282,8 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	// superseded record's partition and taxonomy contributions are
 	// subtracted from its home shard before the recomputed ones go in.
 	var truth, stale core.TruthAccum
-	pending := make(map[int]bool, len(chains))
-	for id := range chains {
+	pending := make(map[int]bool, len(homeShard))
+	for id := range homeShard {
 		pending[id] = true
 	}
 	observe := func(rec *outcome.Record, superseded bool) error {
