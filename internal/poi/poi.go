@@ -105,21 +105,34 @@ type DB struct {
 	grid *geo.GridIndex
 }
 
-// NewDB builds a database over the given POIs. POI IDs must be unique and
-// equal to their index (the synthetic generator guarantees this; loaders
-// should renumber otherwise).
-func NewDB(pois []POI) (*DB, error) {
-	pts := make([]geo.LatLon, len(pois))
+// ValidateTable checks the rules every POI table must satisfy: IDs equal
+// their index (the synthetic generator guarantees this; loaders should
+// renumber otherwise), locations are valid and categories known. NewDB
+// applies it; codecs that only carry a table call it without building
+// the spatial index.
+func ValidateTable(pois []POI) error {
 	for i, p := range pois {
 		if p.ID != i {
-			return nil, fmt.Errorf("poi: POI at index %d has ID %d (must equal index)", i, p.ID)
+			return fmt.Errorf("poi: POI at index %d has ID %d (must equal index)", i, p.ID)
 		}
 		if !p.Loc.Valid() {
-			return nil, fmt.Errorf("poi: POI %d has invalid location %v", p.ID, p.Loc)
+			return fmt.Errorf("poi: POI %d has invalid location %v", p.ID, p.Loc)
 		}
 		if !p.Category.Valid() {
-			return nil, fmt.Errorf("poi: POI %d has invalid category %d", p.ID, int(p.Category))
+			return fmt.Errorf("poi: POI %d has invalid category %d", p.ID, int(p.Category))
 		}
+	}
+	return nil
+}
+
+// NewDB builds a database over the given POIs, which must pass
+// ValidateTable.
+func NewDB(pois []POI) (*DB, error) {
+	if err := ValidateTable(pois); err != nil {
+		return nil, err
+	}
+	pts := make([]geo.LatLon, len(pois))
+	for i, p := range pois {
 		pts[i] = p.Loc
 	}
 	return &DB{pois: append([]POI(nil), pois...), grid: geo.NewGridIndex(pts, 500)}, nil

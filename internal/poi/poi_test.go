@@ -69,13 +69,22 @@ func TestNewDBValidation(t *testing.T) {
 	if _, err := NewDB(good); err != nil {
 		t.Fatalf("valid POIs rejected: %v", err)
 	}
+	if err := ValidateTable(good); err != nil {
+		t.Fatalf("ValidateTable rejected valid POIs: %v", err)
+	}
 	for name, pois := range map[string][]POI{
 		"bad id":       {{ID: 5, Category: Food, Loc: base}},
 		"bad loc":      {{ID: 0, Category: Food, Loc: geo.LatLon{Lat: 99, Lon: 0}}},
 		"bad category": {{ID: 0, Category: Category(42), Loc: base}},
 	} {
-		if _, err := NewDB(pois); err == nil {
+		_, err := NewDB(pois)
+		if err == nil {
 			t.Errorf("%s accepted", name)
+			continue
+		}
+		// One copy of the rules: the table check fails the same way.
+		if verr := ValidateTable(pois); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("%s: ValidateTable = %v, NewDB = %v", name, verr, err)
 		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"geosocial/internal/geo"
@@ -77,9 +78,20 @@ const (
 	// maxStringBytes caps an encoded string so a corrupt length prefix
 	// cannot force a large allocation.
 	maxStringBytes = 1 << 20
-	// allocHint caps speculative slice preallocation from untrusted
-	// counts; slices grow past it by appending.
+	// allocHint caps speculative slice preallocation from a count read
+	// off a stream (the header's POI count), where the bytes behind it
+	// are not yet in hand; the table grows past it by appending.
 	allocHint = 1 << 16
+	// minFixBytes and minCheckinBytes are the smallest encodings of a
+	// GPS fix and of a checkin (one byte per field). A count inside a
+	// frame sizes its slice to at most the records the rest of the frame
+	// can hold, so a forged count costs memory in proportion to the
+	// frame, not to the count.
+	minFixBytes     = 4
+	minCheckinBytes = 7
+	// maxFixBytes is the largest encoding of a GPS fix: three 10-byte
+	// varints (time, lat, lon) and the indoor byte.
+	maxFixBytes = 3*binary.MaxVarintLen64 + 1
 )
 
 // labelTable enumerates the known ground-truth labels; the index is the
@@ -222,19 +234,6 @@ func (d *frameDec) strIntern(names map[string]string) string {
 	return string(b)
 }
 
-func (d *frameDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.fail("trace: binary frame: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
 func (d *frameDec) latlon() geo.LatLon {
 	lat := d.varint()
 	lon := d.varint()
@@ -279,7 +278,7 @@ type StreamWriter struct {
 
 // NewStreamWriter validates the POI table and writes the stream header.
 func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, error) {
-	if _, err := poi.NewDB(pois); err != nil {
+	if err := poi.ValidateTable(pois); err != nil {
 		return nil, fmt.Errorf("trace: write binary: %w", err)
 	}
 	bw, ok := w.(*bufio.Writer)
@@ -574,7 +573,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		p.Popularity = math.Float64frombits(binary.LittleEndian.Uint64(popBits[:]))
 		sr.pois = append(sr.pois, p)
 	}
-	if _, err := poi.NewDB(sr.pois); err != nil {
+	if err := poi.ValidateTable(sr.pois); err != nil {
 		return nil, fmt.Errorf("trace: invalid POI table: %w", err)
 	}
 	// Intern table for checkin POI names: claimed names overwhelmingly
@@ -794,40 +793,25 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 	u.Profile.CheckinsPerDay = d.f64()
 
 	nGPS := d.uvarint()
+	gpsOK := true
 	if d.err == nil {
-		if hint := int(min(nGPS, allocHint)); cap(u.GPS) < hint {
+		if hint := int(min(nGPS, uint64(len(data)-d.pos)/minFixBytes)); cap(u.GPS) < hint {
 			u.GPS = make(GPSTrace, 0, hint)
 		} else {
 			u.GPS = u.GPS[:0]
 		}
-	}
-	var t int64
-	var lat, lon int64
-	for i := uint64(0); i < nGPS && d.err == nil; i++ {
-		if i == 0 {
-			t = d.varint()
-		} else {
-			t += int64(d.uvarint())
-		}
-		lat += d.varint()
-		lon += d.varint()
-		indoor := d.byte()
-		u.GPS = append(u.GPS, GPSPoint{
-			T:      t,
-			Loc:    geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)},
-			Indoor: indoor != 0,
-		})
+		u.GPS, d.pos, gpsOK, d.err = decodeGPS(data, d.pos, nGPS, u.GPS)
 	}
 
 	nCk := d.uvarint()
 	if d.err == nil {
-		if hint := int(min(nCk, allocHint)); cap(u.Checkins) < hint {
+		if hint := int(min(nCk, uint64(len(data)-d.pos)/minCheckinBytes)); cap(u.Checkins) < hint {
 			u.Checkins = make(CheckinTrace, 0, hint)
 		} else {
 			u.Checkins = u.Checkins[:0]
 		}
 	}
-	t = 0
+	var t int64
 	for i := uint64(0); i < nCk && d.err == nil; i++ {
 		if i == 0 {
 			t = d.varint()
@@ -849,7 +833,9 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.data)-d.pos)
 	}
 
-	if err := u.Validate(); err != nil {
+	// decodeGPS checked every fix; only a failed fix needs the full GPS
+	// pass, which names the first offending fix.
+	if err := u.validate(!gpsOK); err != nil {
 		return nil, fmt.Errorf("trace: invalid dataset: %w", err)
 	}
 	if err := u.validateRefs(len(sr.pois)); err != nil {
@@ -857,6 +843,114 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 	}
 	return u, nil
 }
+
+// decodeGPS is the frame decoder's GPS kernel: it decodes n fixes from
+// data[pos:] onto gps in one pass and returns the grown trace, the
+// position after the last fix, whether every fix satisfied the trace
+// invariants, and the first decode error. The wire layout is the one
+// WriteUser emits (first time as a zigzag varint, then uvarint deltas;
+// lat/lon as zigzag E7 deltas; an indoor byte).
+//
+// While a whole fix of the largest size fits in the remaining bytes,
+// varints of one to three bytes (nearly every delta of a per-minute
+// trace) decode inline; longer, malformed and near-the-end varints go through
+// binary.Uvarint, which fails exactly as binary.Varint does. Errors name
+// the same offsets and kinds as frameDec would.
+//
+// The invariant checks are GPSTrace.Validate's, made as each fix is
+// built: time must not decrease, and the location must be valid. On the
+// E7 grid the latter is an integer range test: float64(v)/1e7 is
+// monotonic in v and exactly ±90 (±180) at v = ±9e8 (±1.8e9), so it lies
+// in [-90, 90] exactly when v does in [-9e8, 9e8], and it is never NaN.
+// A fix that fails is still decoded and appended — decode errors later
+// in the frame take precedence — and ok reports it, so the caller can
+// run GPSTrace.Validate for the exact error.
+func decodeGPS(data []byte, pos int, n uint64, gps GPSTrace) (_ GPSTrace, _ int, ok bool, _ error) {
+	const maxLatE7, maxLonE7 = 90 * coordScale, 180 * coordScale
+	var t, lat, lon int64
+	ok = true
+	for i := uint64(0); i < n; i++ {
+		fast := len(data)-pos >= maxFixBytes
+		var ut, ulat, ulon uint64
+		k := 0
+		if fast {
+			ut, k = uvarint3(data, pos)
+		}
+		if k == 0 {
+			if ut, k = binary.Uvarint(data[pos:]); k <= 0 {
+				kind := "uvarint"
+				if i == 0 {
+					kind = "varint"
+				}
+				return gps, pos, ok, fmt.Errorf("trace: binary frame: bad %s at offset %d", kind, pos)
+			}
+		}
+		pos += k
+		if k = 0; fast {
+			ulat, k = uvarint3(data, pos)
+		}
+		if k == 0 {
+			if ulat, k = binary.Uvarint(data[pos:]); k <= 0 {
+				return gps, pos, ok, fmt.Errorf("trace: binary frame: bad varint at offset %d", pos)
+			}
+		}
+		pos += k
+		if k = 0; fast {
+			ulon, k = uvarint3(data, pos)
+		}
+		if k == 0 {
+			if ulon, k = binary.Uvarint(data[pos:]); k <= 0 {
+				return gps, pos, ok, fmt.Errorf("trace: binary frame: bad varint at offset %d", pos)
+			}
+		}
+		pos += k
+		if pos >= len(data) {
+			return gps, pos, ok, fmt.Errorf("trace: binary frame: truncated byte at offset %d", pos)
+		}
+		indoor := data[pos]
+		pos++
+
+		if i == 0 {
+			t = unzigzag(ut)
+		} else {
+			prev := t
+			t += int64(ut)
+			ok = ok && t >= prev
+		}
+		lat += unzigzag(ulat)
+		lon += unzigzag(ulon)
+		ok = ok && uint64(lat+maxLatE7) <= 2*maxLatE7 && uint64(lon+maxLonE7) <= 2*maxLonE7
+		gps = append(gps, GPSPoint{
+			T:      t,
+			Loc:    geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)},
+			Indoor: indoor != 0,
+		})
+	}
+	return gps, pos, ok, nil
+}
+
+// uvarint3 decodes a uvarint of one to three bytes at b[pos:], which
+// must hold at least three bytes. n == 0 means the encoding is longer
+// or malformed; the caller falls back to binary.Uvarint. Like
+// binary.Uvarint it accepts non-canonical (zero-padded) encodings.
+func uvarint3(b []byte, pos int) (v uint64, n int) {
+	b0 := b[pos]
+	if b0 < 0x80 {
+		return uint64(b0), 1
+	}
+	b1 := b[pos+1]
+	if b1 < 0x80 {
+		return uint64(b0&0x7f) | uint64(b1)<<7, 2
+	}
+	b2 := b[pos+2]
+	if b2 < 0x80 {
+		return uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, 3
+	}
+	return 0, 0
+}
+
+// unzigzag inverts the zigzag mapping binary.AppendVarint applies.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // SourceFrames adapts an already-decoded user stream to FrameSource, so
 // in-memory and JSON-backed datasets can join a merged multi-source
@@ -887,11 +981,19 @@ func readString(br *bufio.Reader) (string, error) {
 	if n > maxStringBytes {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", noEOF(err)
+	// Copy straight out of the reader's buffer into the string's own
+	// storage, a window at a time: one allocation per string.
+	var sb strings.Builder
+	sb.Grow(int(n))
+	for sb.Len() < int(n) {
+		b, err := br.Peek(min(int(n)-sb.Len(), br.Size()))
+		sb.Write(b)
+		br.Discard(len(b))
+		if err != nil {
+			return "", noEOF(err)
+		}
 	}
-	return string(buf), nil
+	return sb.String(), nil
 }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a header

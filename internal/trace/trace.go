@@ -200,9 +200,15 @@ type User struct {
 }
 
 // Validate checks both traces.
-func (u *User) Validate() error {
-	if err := u.GPS.Validate(); err != nil {
-		return fmt.Errorf("user %d: %w", u.ID, err)
+func (u *User) Validate() error { return u.validate(true) }
+
+// validate checks the checkin trace, and the GPS trace too when gps is
+// set (the binary decoder checks fixes as it builds them).
+func (u *User) validate(gps bool) error {
+	if gps {
+		if err := u.GPS.Validate(); err != nil {
+			return fmt.Errorf("user %d: %w", u.ID, err)
+		}
 	}
 	if err := u.Checkins.Validate(); err != nil {
 		return fmt.Errorf("user %d: %w", u.ID, err)
@@ -211,7 +217,8 @@ func (u *User) Validate() error {
 }
 
 // validateRefs checks that every checkin claims a POI that exists in a
-// table of numPOIs entries (IDs equal indices, as poi.NewDB enforces).
+// table of numPOIs entries (IDs equal indices, as poi.ValidateTable
+// enforces).
 func (u *User) validateRefs(numPOIs int) error {
 	for i, c := range u.Checkins {
 		if c.POIID < 0 || c.POIID >= numPOIs {
@@ -241,7 +248,7 @@ var ErrEmptyDataset = errors.New("trace: empty dataset")
 // (Summarize keys visit counts by ID, so duplicates would silently merge
 // rows) and every checkin must claim a POI that exists in the table.
 func (d *Dataset) Validate() error {
-	if _, err := poi.NewDB(d.POIs); err != nil {
+	if err := poi.ValidateTable(d.POIs); err != nil {
 		return err
 	}
 	seen := make(map[int]struct{}, len(d.Users))
