@@ -11,11 +11,13 @@ package geosocial_test
 
 import (
 	"io"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"geosocial"
 	"geosocial/internal/classify"
 	"geosocial/internal/core"
 	"geosocial/internal/eval"
@@ -390,20 +392,20 @@ func BenchmarkValidatePipelineSerial(b *testing.B) { benchValidate(b, 1) }
 // BenchmarkValidatePipelineParallel runs validation on all cores.
 func BenchmarkValidatePipelineParallel(b *testing.B) { benchValidate(b, runtime.GOMAXPROCS(0)) }
 
-// benchValidateStream measures the bounded-memory streaming path over
-// the same users benchValidate processes in memory; the delta against
-// BenchmarkValidatePipeline* is the cost of the windowed hand-off.
+// benchValidateStream measures the facade's streaming engine over the
+// users benchValidate processes in memory, saved as one binary file;
+// the delta against BenchmarkValidatePipeline* is the cost of decode,
+// classification and the windowed hand-off.
 func benchValidateStream(b *testing.B, workers int) {
 	ctx := ctxForBench(b)
-	db, err := ctx.Primary.DB()
-	if err != nil {
+	path := filepath.Join(b.TempDir(), "primary.bin")
+	if err := ctx.Primary.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	v := core.NewValidator()
-	v.Parallelism = workers
+	opts := geosocial.StreamOptions{Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.ValidateStream(db, ctx.Primary.Source(), nil); err != nil {
+		if _, err := geosocial.ValidateFileOpts(path, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

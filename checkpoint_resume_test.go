@@ -23,6 +23,7 @@ import (
 
 	"geosocial/internal/checkpoint"
 	"geosocial/internal/core"
+	"geosocial/internal/obs"
 	"geosocial/internal/serve"
 	"geosocial/internal/trace"
 )
@@ -47,19 +48,34 @@ func resumeCorpus(t *testing.T, shards int) (string, string, *trace.ShardSet) {
 	return dir, manifest, ss
 }
 
-// countingLogf returns a StreamOptions.Logf plus a counter of lines
-// containing the given marker.
-func countingLogf(marker string) (func(string, ...any), *int) {
+// countingLogger returns a StreamOptions.Logger that writes to a
+// buffer, plus a counter of the logged lines containing the given
+// marker.
+func countingLogger(marker string) (*obs.Logger, func() int) {
 	var mu sync.Mutex
-	count := new(int)
-	return func(format string, args ...any) {
-		if strings.Contains(format, marker) {
-			mu.Lock()
-			*count++
-			mu.Unlock()
+	var buf bytes.Buffer
+	w := writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	})
+	return obs.NewLogger(w, obs.LevelInfo, obs.FormatText, "test"), func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, marker) {
+				n++
+			}
 		}
-	}, count
+		return n
+	}
 }
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // copyCheckpoints re-commits the first k shards' fragments from a
 // completed donor store into dst — the on-disk state a crash after k
@@ -118,9 +134,9 @@ func TestShardedValidationResume(t *testing.T) {
 	// shard. Its result must already match the non-checkpointed run.
 	donorDir := filepath.Join(outDir, "donor-ck")
 	donorLog := filepath.Join(outDir, "donor.gso")
-	logf, wrote := countingLogf("checkpoint written")
+	logger, wrote := countingLogger("checkpoint written")
 	donorRes, err := ValidateFileOpts(manifest, StreamOptions{
-		Workers: 4, OutcomeLog: donorLog, CheckpointDir: donorDir, Logf: logf,
+		Workers: 4, OutcomeLog: donorLog, CheckpointDir: donorDir, Logger: logger,
 	})
 	if err != nil {
 		t.Fatalf("donor run: %v", err)
@@ -128,8 +144,8 @@ func TestShardedValidationResume(t *testing.T) {
 	if got, _ := donorRes.Encode(); !bytes.Equal(got, baseJSON) {
 		t.Fatalf("checkpointing changed the result:\n%s\nvs\n%s", got, baseJSON)
 	}
-	if *wrote != shards {
-		t.Fatalf("donor run committed %d checkpoints, want %d", *wrote, shards)
+	if wrote() != shards {
+		t.Fatalf("donor run committed %d checkpoints, want %d", wrote(), shards)
 	}
 	tag := validationFingerprint(StreamOptions{}) + "+log"
 
@@ -141,15 +157,15 @@ func TestShardedValidationResume(t *testing.T) {
 			ckDir := t.TempDir()
 			copyCheckpoints(t, corpusDir, ss, donorDir, ckDir, tag, k)
 			logPath := filepath.Join(t.TempDir(), "resumed.gso")
-			logf, skips := countingLogf("checkpoint hit")
+			logger, skips := countingLogger("checkpoint hit")
 			res, err := ValidateFileOpts(manifest, StreamOptions{
-				Workers: workers, OutcomeLog: logPath, CheckpointDir: ckDir, Logf: logf,
+				Workers: workers, OutcomeLog: logPath, CheckpointDir: ckDir, Logger: logger,
 			})
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: resume: %v", workers, k, err)
 			}
-			if *skips != k {
-				t.Errorf("workers=%d k=%d: skipped %d shards, want %d", workers, k, *skips, k)
+			if skips() != k {
+				t.Errorf("workers=%d k=%d: skipped %d shards, want %d", workers, k, skips(), k)
 			}
 			got, err := res.Encode()
 			if err != nil {
@@ -202,15 +218,15 @@ func TestResumeSurvivesCorruptFragment(t *testing.T) {
 	}
 
 	logB := filepath.Join(outDir, "b.gso")
-	logf, skips := countingLogf("checkpoint hit")
+	logger, skips := countingLogger("checkpoint hit")
 	resB, err := ValidateFileOpts(manifest, StreamOptions{
-		Workers: 4, OutcomeLog: logB, CheckpointDir: ckDir, Logf: logf,
+		Workers: 4, OutcomeLog: logB, CheckpointDir: ckDir, Logger: logger,
 	})
 	if err != nil {
 		t.Fatalf("resume with corrupt fragment: %v", err)
 	}
-	if *skips != shards-1 {
-		t.Errorf("skipped %d shards, want %d (corrupt one revalidates)", *skips, shards-1)
+	if skips() != shards-1 {
+		t.Errorf("skipped %d shards, want %d (corrupt one revalidates)", skips(), shards-1)
 	}
 	gotJSON, _ := resB.Encode()
 	if !bytes.Equal(gotJSON, wantJSON) {
@@ -224,14 +240,14 @@ func TestResumeSurvivesCorruptFragment(t *testing.T) {
 		t.Errorf("outcome log differs after corrupt-fragment recovery")
 	}
 	// The revalidation rewrote the fragment: a third run skips all n.
-	logf, skips = countingLogf("checkpoint hit")
+	logger, skips = countingLogger("checkpoint hit")
 	if _, err := ValidateFileOpts(manifest, StreamOptions{
-		Workers: 4, OutcomeLog: filepath.Join(outDir, "c.gso"), CheckpointDir: ckDir, Logf: logf,
+		Workers: 4, OutcomeLog: filepath.Join(outDir, "c.gso"), CheckpointDir: ckDir, Logger: logger,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if *skips != shards {
-		t.Errorf("after recovery run, skipped %d shards, want %d", *skips, shards)
+	if skips() != shards {
+		t.Errorf("after recovery run, skipped %d shards, want %d", skips(), shards)
 	}
 }
 
@@ -252,7 +268,7 @@ func TestServeResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logf, skips := countingLogf("checkpoint hit")
+	logger, skips := countingLogger("checkpoint hit")
 	var attempts atomic.Int64
 	s, err := serve.New(serve.Config{
 		SpoolDir:          spool,
@@ -264,7 +280,7 @@ func TestServeResumesInterruptedJob(t *testing.T) {
 				t.Error("job ran without a checkpoint dir")
 			}
 			res, verr := ValidateFileOpts(path, StreamOptions{
-				Workers: 2, CheckpointDir: ckDir, Logf: logf,
+				Workers: 2, CheckpointDir: ckDir, Logger: logger,
 			})
 			if attempts.Add(1) == 1 {
 				// Simulated crash after the engine checkpointed every
@@ -300,8 +316,8 @@ func TestServeResumesInterruptedJob(t *testing.T) {
 	if j := wait(info.ID); j.Status != serve.StatusFailed {
 		t.Fatalf("first attempt: %+v, want failed", j)
 	}
-	if *skips != 0 {
-		t.Fatalf("first attempt skipped %d shards, want 0", *skips)
+	if skips() != 0 {
+		t.Fatalf("first attempt skipped %d shards, want 0", skips())
 	}
 
 	// Re-adding the dataset retries the failed job; the retry must find
@@ -316,8 +332,8 @@ func TestServeResumesInterruptedJob(t *testing.T) {
 	if j := wait(retry.ID); j.Status != serve.StatusDone {
 		t.Fatalf("retry: %+v, want done", j)
 	}
-	if *skips != shards {
-		t.Fatalf("retry skipped %d shards, want %d", *skips, shards)
+	if skips() != shards {
+		t.Fatalf("retry skipped %d shards, want %d", skips(), shards)
 	}
 	if attempts.Load() != 2 {
 		t.Fatalf("validation ran %d times, want 2", attempts.Load())
@@ -340,17 +356,17 @@ func TestResumeIgnoresMismatchedParams(t *testing.T) {
 	other := StreamOptions{Workers: 2, CheckpointDir: ckDir}
 	other.Params = core.DefaultParams()
 	other.Params.Alpha = 250 // non-default matching radius
-	logf, skips := countingLogf("checkpoint hit")
-	other.Logf = logf
+	logger, skips := countingLogger("checkpoint hit")
+	other.Logger = logger
 	res, err := ValidateFileOpts(manifest, other)
 	if err != nil {
 		t.Fatalf("mismatched-params run: %v", err)
 	}
-	if *skips != 0 {
-		t.Errorf("run with different params skipped %d shards, want 0", *skips)
+	if skips() != 0 {
+		t.Errorf("run with different params skipped %d shards, want 0", skips())
 	}
 	noCk := other
-	noCk.CheckpointDir, noCk.Logf = "", nil
+	noCk.CheckpointDir, noCk.Logger = "", nil
 	want, err := ValidateFileOpts(manifest, noCk)
 	if err != nil {
 		t.Fatal(err)

@@ -142,8 +142,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Checkpoints:       *ckpts,
 		MaxCheckpointRuns: *ckptsMax,
 		CheckpointStale:   *ckptsStale,
-		Stream:            geosocial.StreamOptions{Workers: *workers},
-		Logf:              logger.Printf,
+		Stream:            geosocial.StreamOptions{Workers: *workers, Logger: logger},
+		Logger:            logger,
 	})
 	if err != nil {
 		return err

@@ -167,7 +167,7 @@ func metricValue(t *testing.T, metrics, name string) float64 {
 // TestEndToEnd is the acceptance path: upload → validate → fetch the
 // partition twice — the second fetch is a cache hit and no second
 // validation runs — with the served partition byte-identical to the
-// facade's ValidateFileWorkers (geovalidate's engine; the geovalidate
+// facade's ValidateFileOpts (geovalidate's engine; the geovalidate
 // run() comparison lives in cmd/geovalidate) at workers 1 and 8.
 func TestEndToEnd(t *testing.T) {
 	dataset := saveDataset(t)
@@ -184,7 +184,7 @@ func TestEndToEnd(t *testing.T) {
 				t.Fatalf("first upload X-Cache = %q", resp.Header.Get("X-Cache"))
 			}
 
-			want, err := geosocial.ValidateFileWorkers(dataset, workers)
+			want, err := geosocial.ValidateFileOpts(dataset, geosocial.StreamOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// fragments) go through the structured logger to stderr so they
 		// never disturb the report or the -json document on stdout.
 		// -quiet / -log-level off silence them.
-		Logf: logger.Printf,
+		Logger: logger,
 	}
 	if *report != "" {
 		// Span collection is opt-in: a nil collector costs the pipeline

@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"geosocial/internal/checkpoint"
@@ -107,12 +106,12 @@ func GenerateStudy(cfg StudyConfig) (*Study, error) {
 
 // LoadDataset reads a dataset saved by Dataset.SaveFile / cmd/geogen into
 // memory. Compression and encoding (JSON or binary) are detected from
-// magic bytes; use ValidateFile to process binary datasets without
+// magic bytes; use ValidateFileOpts to process binary datasets without
 // materializing them.
 func LoadDataset(path string) (*trace.Dataset, error) { return trace.LoadFile(path) }
 
-// StreamOptions tunes ValidateFileOpts. The zero value selects the
-// paper's parameters and the default worker count.
+// StreamOptions tunes ValidateFileOpts and UpdateValidation. The zero
+// value selects the paper's parameters and the default worker count.
 type StreamOptions struct {
 	// Params are the matching thresholds (core.DefaultParams when zero).
 	Params core.Params
@@ -141,7 +140,7 @@ type StreamOptions struct {
 	// skips every checkpointed shard and merges its fragment instead,
 	// producing a StreamResult — and an outcome log — byte-identical to
 	// an uninterrupted run, for any worker count. Only shard-set inputs
-	// checkpoint; plain files and explicit path lists ignore the field.
+	// checkpoint; plain files ignore the field.
 	// See docs/FORMAT.md for the fragment format and atomicity contract.
 	CheckpointDir string
 	// CheckpointStale overrides how old a crashed run's temporary
@@ -151,9 +150,10 @@ type StreamOptions struct {
 	// fingerprint, so changing it does not invalidate existing
 	// checkpoints.
 	CheckpointStale time.Duration
-	// Logf, when non-nil, receives one line per checkpoint event (shard
-	// skipped, checkpoint written, corrupt fragment recovered).
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives one info line per checkpoint event
+	// (shard skipped, checkpoint written, corrupt fragment recovered).
+	// A nil logger stays silent.
+	Logger *obs.Logger
 	// Spans, when non-nil, collects per-stage, per-shard pipeline spans
 	// (decode, fold, segment, match, classify, merge, checkpoint-commit)
 	// — record counts and summed wall time — for the post-run breakdown
@@ -181,38 +181,25 @@ type StreamResult = core.StreamResult
 // ShardStat describes one input stream of a multi-file validation run.
 type ShardStat = core.ShardStat
 
-// ValidateFile runs the full validation pipeline over a dataset file
-// with the paper's parameters and the default worker count. The path
-// may also name a shard-set manifest ("*.manifest.json") or a directory
-// containing exactly one — the shards are then read concurrently and
-// validated as one corpus with an aggregate result byte-identical to
-// validating the equivalent single file.
+// ValidateFileOpts runs the full validation pipeline over a dataset
+// file. The path may also name a shard-set manifest
+// ("*.manifest.json") or a directory containing exactly one — the
+// shards are then read concurrently and validated as one corpus with an
+// aggregate result byte-identical to validating the equivalent single
+// file. The zero StreamOptions select the paper's parameters and the
+// default worker count; cmd/geovalidate's -alpha/-beta flags thread
+// through opts.
 //
 // Binary inputs are streamed: raw frames are fetched sequentially per
-// file and decoded + validated on the worker pool, so in-flight users
-// stay O(workers + shards) regardless of corpus size (the only
-// per-user state retained is the integer duplicate-ID set, as in
+// file, and every CPU-heavy per-user stage — frame decode, validation
+// (visit detection + matching) and classification — runs inside the
+// bounded parallel window on the worker pool, so in-flight users stay
+// O(workers + shards) regardless of corpus size (the only per-user
+// state retained is the integer duplicate-ID set, as in
 // trace.StreamReader). JSON datasets are loaded in memory first (the
-// document encoding cannot be streamed).
-// The aggregate results are identical to loading the same users and
-// running ValidateDataset.
-func ValidateFile(path string) (*StreamResult, error) { return ValidateFileWorkers(path, 0) }
-
-// ValidateFileWorkers is ValidateFile with an explicit worker count
-// (<= 0 selects GOMAXPROCS, 1 the serial path). The result is identical
-// for any value.
-func ValidateFileWorkers(path string, workers int) (*StreamResult, error) {
-	return ValidateFileOpts(path, StreamOptions{Workers: workers})
-}
-
-// ValidateFileOpts is ValidateFile with explicit matching and visit-
-// detection parameters (cmd/geovalidate's -alpha/-beta flags thread
-// through here).
-//
-// All CPU-heavy per-user stages — frame decode, validation (visit
-// detection + matching) and classification — run inside the bounded
-// parallel window on the worker pool; the calling goroutine only
-// fetches raw frames and accumulates aggregates, in stream order.
+// document encoding cannot be streamed). The aggregate results are
+// identical to loading the same users and running ValidateDataset, for
+// any worker count.
 func ValidateFileOpts(path string, opts StreamOptions) (*StreamResult, error) {
 	if info, err := os.Stat(path); err == nil &&
 		(info.IsDir() || strings.HasSuffix(path, trace.ManifestSuffix)) {
@@ -227,7 +214,9 @@ func ValidateFileOpts(path string, opts StreamOptions) (*StreamResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
-	res, err := validateSources(stream.Name, db, []trace.FrameSource{stream.Frames()}, []string{path}, opts, nil, nil)
+	p := &plan{name: stream.Name, db: db, shards: []string{path},
+		sources: []source{{src: stream.Frames()}}}
+	res, err := p.run(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -236,102 +225,37 @@ func ValidateFileOpts(path string, opts StreamOptions) (*StreamResult, error) {
 	return res, nil
 }
 
-// ValidatePaths validates several dataset files as one corpus: every
-// file must carry the same dataset name and an identical POI table
-// (compared by checksum), user IDs must be unique across the whole set,
-// and the aggregate result is byte-identical to validating one file
-// holding all the users. Files are read concurrently and decoded on the
-// shared worker pool; JSON and binary inputs can be mixed.
-func ValidatePaths(paths []string, opts StreamOptions) (*StreamResult, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("geosocial: no dataset paths")
-	}
-	streams := make([]*trace.DatasetStream, len(paths))
-	defer func() {
-		for _, s := range streams {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
-	srcs := make([]trace.FrameSource, len(paths))
-	var refSum string
-	for i, p := range paths {
-		s, err := trace.OpenStream(p)
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		streams[i] = s
-		if i == 0 {
-			refSum = trace.POIChecksum(s.POIs)
-		}
-		if s.Name != streams[0].Name {
-			return nil, fmt.Errorf("geosocial: %s holds dataset %q, %s holds %q",
-				p, s.Name, paths[0], streams[0].Name)
-		}
-		if trace.POIChecksum(s.POIs) != refSum {
-			return nil, fmt.Errorf("geosocial: %s and %s carry different POI tables", paths[0], p)
-		}
-		srcs[i] = s.Frames()
-	}
-	db, err := streams[0].DB()
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	res, err := validateSources(streams[0].Name, db, srcs, paths, opts, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Format = streams[0].Format
-	return res, nil
-}
-
-// genSet carries a generational shard set's fold state through
-// validateSources: the decoded delta content, the generation to stamp on
-// the result, and — per manifest shard — the expected number of
-// brand-new users (-1 for base shards, which are verified by their
-// reader's frame count instead).
-type genSet struct {
-	ds         *trace.DeltaSet
-	generation int
-	newUsers   []int
-}
-
-// validateShardSet validates a manifest-described sharded corpus.
+// validateShardSet builds the plan for a manifest-described sharded
+// corpus: one source per shard.
 //
 // A generational set (manifest Generation > 0) validates by folding: the
 // delta shards are decoded up front into a DeltaSet (O(appended data)),
 // every base-shard source is wrapped so touched users decode with their
 // delta frames folded in, and users that exist only in delta shards are
-// validated in a post-pass attributed to their home delta shard. The
-// result is byte-identical to validating a from-scratch corpus of the
-// concatenated data, modulo the per-shard layout. Checkpointing is
-// skipped for generational sets: a delta changes every touched user's
-// fold, so per-shard fragments keyed on shard content alone would be
-// unsound.
+// folded and validated after the streams, attributed to their home
+// delta shard. The result is byte-identical to validating a
+// from-scratch corpus of the concatenated data, modulo the per-shard
+// layout. Checkpointing is skipped for generational sets: a delta
+// changes every touched user's fold, so per-shard fragments keyed on
+// shard content alone would be unsound.
 func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 	ss, err := trace.OpenShardSet(path)
 	if err != nil {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	k := len(ss.Manifest.Shards)
-	var gen *genSet
+	p := &plan{name: ss.Manifest.Name, shards: make([]string, k)}
+	var ds *trace.DeltaSet
 	if ss.Manifest.Generation > 0 {
 		// The up-front delta decode is corpus-wide fold work, attributed
 		// to the pseudo-shard "corpus" in the span report.
 		foldCell := opts.Spans.Stage("fold", "corpus")
-		var t0 time.Time
-		if foldCell != nil {
-			t0 = time.Now()
-		}
-		ds, err := trace.MergeSets(ss)
-		if err != nil {
+		t := foldCell.Start()
+		if ds, err = trace.MergeSets(ss); err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
-		if foldCell != nil {
-			foldCell.Observe(len(ds.IDs()), time.Since(t0))
-		}
-		gen = &genSet{ds: ds, generation: ss.Manifest.Generation, newUsers: make([]int, k)}
+		foldCell.Stop(t, ds.Len())
+		p.newUsers = make([]int, k)
 	}
 	readers := make([]*trace.ShardReader, k)
 	defer func() {
@@ -341,85 +265,72 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 			}
 		}
 	}()
-	srcs := make([]trace.FrameSource, k)
-	labels := make([]string, k)
-	var db *poi.DB
-	for i := 0; i < k; i++ {
-		labels[i] = ss.Manifest.Shards[i].File
-		if gen != nil && ss.Manifest.Shards[i].Delta {
+	for i, info := range ss.Manifest.Shards {
+		p.shards[i] = info.File
+		if ds != nil && info.Delta {
 			// Delta shards are not streamed — their content is already in
 			// the DeltaSet — but they keep a stats slot for the new users
 			// attributed to them.
-			gen.newUsers[i] = ss.Manifest.Shards[i].NewUsers
+			p.newUsers[i] = info.NewUsers
 			continue
 		}
-		if gen != nil {
-			gen.newUsers[i] = -1
+		if ds != nil {
+			p.newUsers[i] = -1
 		}
 		r, err := ss.OpenShard(i)
 		if err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
 		readers[i] = r
-		if gen != nil {
-			srcs[i] = gen.ds.FoldSource(r)
-		} else {
-			srcs[i] = r
+		var src trace.FrameSource = r
+		if ds != nil {
+			src = ds.FoldSource(r)
 		}
-		if db == nil {
-			if db, err = poi.NewDB(r.POIs()); err != nil {
+		p.sources = append(p.sources, source{src: src, slot: i})
+		if p.db == nil {
+			if p.db, err = poi.NewDB(r.POIs()); err != nil {
 				return nil, fmt.Errorf("geosocial: %w", err)
 			}
 		}
 	}
-	if db == nil {
+	if p.db == nil {
 		return nil, fmt.Errorf("geosocial: %s: shard set has no base shards", path)
 	}
-	var ck *ckptRun
-	if gen == nil {
-		if ck, err = openCheckpoints(ss, labels, opts); err != nil {
-			return nil, err
+	if ds != nil {
+		// Every delta user is a fold candidate; the engine skips those a
+		// base-shard source already validated, leaving the brand-new ones.
+		for _, id := range ds.IDs() {
+			p.fold = append(p.fold, foldItem{id: id, slot: ds.Home(id)})
 		}
-	} else if opts.CheckpointDir != "" && opts.Logf != nil {
-		opts.Logf("geosocial: generational shard set (generation %d): checkpointing skipped", gen.generation)
+		p.foldUser = func(i int) (*trace.User, error) { return ds.FoldNew(p.fold[i].id) }
+		if opts.CheckpointDir != "" {
+			opts.Logger.Printf("geosocial: generational shard set (generation %d): checkpointing skipped", ss.Manifest.Generation)
+		}
+	} else if err := planCheckpoints(p, ss, opts); err != nil {
+		return nil, err
 	}
-	res, err := validateSources(ss.Manifest.Name, db, srcs, labels, opts, ck, gen)
+	res, err := p.run(opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Format = trace.FormatBinary
+	res.Generation = ss.Manifest.Generation
 	return res, nil
 }
 
-// ckptRun carries one sharded validation's checkpoint state: the open
-// store, each shard's content checksum and manifest user count, and —
-// for shards whose checkpoint was found at preload — the persisted
-// aggregates and user IDs to merge instead of revalidating.
-type ckptRun struct {
-	store *checkpoint.Store
-	sums  []string           // per-shard content checksum (key half)
-	want  []int              // per-shard manifest user count
-	metas []*checkpoint.Meta // non-nil marks a checkpointed (skipped) shard
-	ids   [][]int            // the user IDs a skipped shard contributed
-	logf  func(format string, args ...any)
-}
-
-// logff forwards to the run's Logf when set.
-func (c *ckptRun) logff(format string, args ...any) {
-	if c.logf != nil {
-		c.logf(format, args...)
-	}
-}
-
-// openCheckpoints opens the checkpoint store for a shard set and
-// preloads each shard's fragment (meta and user IDs only — outcome-log
-// records are replayed later, once the log writer exists). It returns
-// nil when opts does not request checkpointing. A fragment that fails
+// planCheckpoints makes a shard-set plan crash-safe and resumable when
+// opts asks for it. It opens the checkpoint store and preloads each
+// shard's fragment (meta and user IDs only; outcome-log records are
+// replayed by the engine, once the log writer exists). A shard with a
+// fragment becomes a precomputed contribution instead of a source;
+// every other source checkpoints as it streams. A fragment that fails
 // to decode is removed and its shard revalidates — corruption degrades
-// to recomputation, never to a wrong or aborted result.
-func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*ckptRun, error) {
+// to recomputation, never to a wrong or aborted result. Checkpointed
+// and live shards contribute through the same commutative sums, which
+// is why a resumed result is byte-identical to an uninterrupted one.
+func planCheckpoints(p *plan, ss *trace.ShardSet, opts StreamOptions) error {
 	if opts.CheckpointDir == "" {
-		return nil, nil
+		return nil
 	}
 	// The parameter fingerprint is half of the checkpoint key; logging
 	// runs carry a distinct tag because their fragments must hold the
@@ -430,474 +341,50 @@ func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*
 	}
 	store, err := checkpoint.OpenStale(opts.CheckpointDir, checkpoint.ManifestChecksum(&ss.Manifest), tag, opts.CheckpointStale)
 	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+		return fmt.Errorf("geosocial: %w", err)
 	}
-	k := len(ss.Manifest.Shards)
-	ck := &ckptRun{
-		store: store,
-		sums:  make([]string, k),
-		want:  make([]int, k),
-		metas: make([]*checkpoint.Meta, k),
-		ids:   make([][]int, k),
-		logf:  opts.Logf,
-	}
-	for i, info := range ss.Manifest.Shards {
-		ck.want[i] = info.Users
-		sum, err := checkpoint.FileChecksum(filepath.Join(ss.Dir, info.File))
+	live := p.sources[:0]
+	for _, s := range p.sources {
+		label := p.shards[s.slot]
+		sum, err := checkpoint.FileChecksum(filepath.Join(ss.Dir, label))
 		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
+			return fmt.Errorf("geosocial: %w", err)
 		}
-		ck.sums[i] = sum
 		m, ids, err := store.Load(sum, nil)
 		if err != nil {
-			ck.logff("geosocial: shard %s: checkpoint unreadable, revalidating: %v", labels[i], err)
+			opts.Logger.Printf("geosocial: shard %s: checkpoint unreadable, revalidating: %v", label, err)
 			if err := store.Remove(sum); err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
+				return fmt.Errorf("geosocial: %w", err)
 			}
+		}
+		if m == nil {
+			s.ckpt, s.sum = store, sum
+			live = append(live, s)
 			continue
 		}
-		ck.metas[i], ck.ids[i] = m, ids
-	}
-	return ck, nil
-}
-
-// ckptSource wraps a shard's FrameSource to record when the shard has
-// been fully and cleanly consumed. The flag is atomic because frames
-// are pulled on a producer goroutine while the commit decision runs on
-// the collecting goroutine; it is also deliberately non-blocking — in
-// the serial (workers == 1) merge, a shard's EOF is only observed one
-// round after its last user reaches the sink, so commits poll the flag
-// instead of waiting on it.
-type ckptSource struct {
-	trace.FrameSource
-	eof atomic.Bool
-}
-
-// NextFrame forwards to the wrapped source, latching clean end of
-// stream (which, for a ShardReader, implies the manifest user count
-// was verified).
-func (c *ckptSource) NextFrame() (trace.Frame, error) {
-	fr, err := c.FrameSource.NextFrame()
-	if err == io.EOF {
-		c.eof.Store(true)
-	}
-	return fr, err
-}
-
-// shardSpans bundles one shard's span cells, one per pipeline stage. A
-// zero shardSpans (spans disabled, or a shard never streamed) makes
-// every instrumentation site a single nil check — no clock read, no
-// allocation — which is the zero-cost-when-disabled contract.
-//
-// segment and match are the interface type core consumes; they are only
-// ever assigned non-nil cells, never typed-nil pointers, so core's own
-// nil checks stay meaningful.
-type shardSpans struct {
-	decode   *obs.Cell
-	fold     *obs.Cell
-	classify *obs.Cell
-	merge    *obs.Cell
-	commit   *obs.Cell
-	segment  core.StageObserver
-	match    core.StageObserver
-}
-
-// newShardSpans creates the stage cells for one shard. commit and fold
-// cells exist only when the run checkpoints / folds, so the report
-// never carries zero-valued stages a run could not have executed.
-func newShardSpans(c *obs.Collector, shard string, ck, fold bool) shardSpans {
-	sp := shardSpans{
-		decode:   c.Stage("decode", shard),
-		classify: c.Stage("classify", shard),
-		merge:    c.Stage("merge", shard),
-		segment:  c.Stage("segment", shard),
-		match:    c.Stage("match", shard),
-	}
-	if ck {
-		sp.commit = c.Stage("checkpoint-commit", shard)
-	}
-	if fold {
-		sp.fold = c.Stage("fold", shard)
-	}
-	return sp
-}
-
-// validateSources is the shared multi-source validation engine behind
-// ValidateFileOpts, ValidatePaths and validateShardSet: fetch raw
-// frames per source, run decode + validate + classify per user on the
-// worker pool (par.MergeStreams), accumulate per-source statistics in
-// the deterministic merged order, and merge them in source order. The
-// aggregates are sums of per-user integer counts, so they are identical
-// to single-stream validation of the same users for any worker count
-// and any way of splitting the corpus.
-//
-// When ck is non-nil the run is checkpointed: sources whose fragment
-// was preloaded are not streamed — their persisted counters merge in
-// and their records replay into the outcome log — and every live
-// source commits a fragment the moment it is fully consumed, so a kill
-// at any point loses at most the shards still in flight. Checkpointed
-// and live shards contribute through the same commutative sums, which
-// is why a resumed result is byte-identical to an uninterrupted one.
-//
-// When gen is non-nil the run folds a generational shard set: entries
-// of srcs left nil (the delta shards) are not streamed, and after the
-// merge the users that exist only in delta shards are folded, validated
-// on the same pool, and accumulated against their home delta shard's
-// stats slot. gen and ck are mutually exclusive.
-func validateSources(name string, db *poi.DB, srcs []trace.FrameSource, labels []string, opts StreamOptions, ck *ckptRun, gen *genSet) (*StreamResult, error) {
-	v := &core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig}
-	clsParams := classify.DefaultParams()
-	res := &StreamResult{Name: name, Taxonomy: make(map[string]int, classify.NumKinds)}
-	n := len(srcs)
-	stats := make([]ShardStat, n)
-	taxs := make([]map[string]int, n)
-	truths := make([]core.TruthAccum, n)
-	for i := range stats {
-		stats[i].Path = labels[i]
-		taxs[i] = make(map[string]int, classify.NumKinds)
-	}
-	var logw *outcome.Writer
-	if opts.OutcomeLog != "" {
-		var err error
-		if logw, err = outcome.Create(opts.OutcomeLog, name); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		defer logw.Discard() // no-op once Close has published the log
-	}
-	seen := make(map[int]int, 256) // user ID -> source index
-
-	// Span cells, one bundle per shard that can stream (checkpoint-hit
-	// shards never run, so they never appear in the report). The slice
-	// stays all-zero when spans are off.
-	spans := make([]shardSpans, n)
-	if opts.Spans != nil {
-		for i := range srcs {
-			if ck != nil && ck.metas[i] != nil {
-				continue
-			}
-			// A nil source inside a generational set is a delta shard:
-			// its users run through the fold pass, not the merge.
-			isDelta := gen != nil && srcs[i] == nil
-			if srcs[i] == nil && !isDelta {
-				continue
-			}
-			spans[i] = newShardSpans(opts.Spans, labels[i], ck != nil && srcs[i] != nil, isDelta)
-		}
-	}
-
-	// Merge preloaded checkpoints: seed the skipped shards' counters and
-	// duplicate-ID set, and replay their records into the outcome log
-	// (the log writer canonicalizes record order at Close, so replayed
-	// and live records interleave freely).
-	var (
-		frags   []*checkpoint.Frag
-		wrapped []*ckptSource
-		ids     [][]int
-	)
-	if ck != nil {
-		frags = make([]*checkpoint.Frag, n)
-		wrapped = make([]*ckptSource, n)
-		ids = make([][]int, n)
-		defer func() {
-			for _, fr := range frags {
-				if fr != nil {
-					fr.Abort()
-				}
-			}
-		}()
-		for i := 0; i < n; i++ {
-			m := ck.metas[i]
-			if m == nil {
-				continue
-			}
-			stats[i].Users = m.Users
-			stats[i].Partition = m.Partition
-			for k, c := range m.Taxonomy {
-				taxs[i][k] = c
-			}
-			truths[i].AddCounts(m.Truth)
-			for _, id := range ck.ids[i] {
-				if prev, dup := seen[id]; dup {
-					return nil, fmt.Errorf("geosocial: duplicate user ID %d (%s and %s)", id, labels[prev], labels[i])
-				}
-				seen[id] = i
-			}
-			if logw != nil {
-				if _, _, err := ck.store.Load(ck.sums[i], func(data []byte) error {
+		c := contribution{
+			slot:  s.slot,
+			tally: tally{users: m.Users, part: m.Partition, tax: m.Taxonomy},
+			ids:   ids,
+			note:  fmt.Sprintf("geosocial: shard %s: checkpoint hit, skipping (%d users)", label, m.Users),
+			replay: func(emit func(*outcome.Record) error) error {
+				if _, _, err := store.Load(sum, func(data []byte) error {
 					rec, err := outcome.DecodeRecord(data)
 					if err != nil {
 						return err
 					}
-					return logw.Write(rec)
+					return emit(rec)
 				}); err != nil {
-					return nil, fmt.Errorf("geosocial: replay checkpoint for %s: %w", labels[i], err)
+					return fmt.Errorf("replay checkpoint for %s: %w", label, err)
 				}
-			}
-			ck.logff("geosocial: shard %s: checkpoint hit, skipping (%d users)", labels[i], m.Users)
+				return nil
+			},
 		}
+		c.truth.AddCounts(m.Truth)
+		p.add = append(p.add, c)
 	}
-
-	// The merged run streams only the live sources; live[j] maps the
-	// merge's source index back to the original shard index. A nil
-	// source is a generational set's delta shard: its content folds in
-	// through the base-shard sources and the post-merge new-user pass.
-	var live []int
-	var next []func() (trace.Frame, error)
-	for i := range srcs {
-		if srcs[i] == nil || (ck != nil && ck.metas[i] != nil) {
-			continue
-		}
-		live = append(live, i)
-		if ck != nil {
-			w := &ckptSource{FrameSource: srcs[i]}
-			wrapped[i] = w
-			next = append(next, w.NextFrame)
-			fr, err := ck.store.Begin(ck.sums[i])
-			if err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-			frags[i] = fr
-		} else {
-			next = append(next, srcs[i].NextFrame)
-		}
-	}
-
-	// commitReady publishes the fragment of every live shard that has
-	// been fully consumed (clean EOF latched and all its users through
-	// the sink). It runs after each sunk user and once after the merge:
-	// in the serial merge a shard's EOF is observed a round after its
-	// last user, so the final sweep catches what the per-user polls
-	// cannot.
-	commitReady := func() error {
-		if ck == nil {
-			return nil
-		}
-		for _, i := range live {
-			if frags[i] == nil || !wrapped[i].eof.Load() || stats[i].Users != ck.want[i] {
-				continue
-			}
-			commitCell := spans[i].commit
-			var t0 time.Time
-			if commitCell != nil {
-				t0 = time.Now()
-			}
-			err := frags[i].Commit(&checkpoint.Meta{
-				Users:     stats[i].Users,
-				Partition: stats[i].Partition,
-				Taxonomy:  taxs[i],
-				Truth:     truths[i].Counts(),
-			}, ids[i])
-			if commitCell != nil {
-				commitCell.Observe(stats[i].Users, time.Since(t0))
-			}
-			if err != nil {
-				return err
-			}
-			frags[i] = nil
-			ck.logff("geosocial: shard %s: checkpoint written (%d users)", labels[i], stats[i].Users)
-		}
-		return nil
-	}
-
-	type outcomeCls struct {
-		out      core.UserOutcome
-		cls      *classify.Classification
-		rec      *outcome.Record // outcome-log record, nil unless logging
-		recBytes []byte          // its encoding, nil unless checkpointing a logging run
-	}
-	// process runs the CPU-heavy per-user stages (validation,
-	// classification, record distillation) on the worker pool; account
-	// accumulates one user's outcome into a shard's stats slot on the
-	// collecting goroutine. Both the merged stream and the generational
-	// new-user pass go through the same pair, which is what makes the
-	// two paths' aggregates interchangeable.
-	process := func(u *trace.User, sp shardSpans) (outcomeCls, error) {
-		o, err := v.ValidateUserSpans(u, db, sp.segment, sp.match)
-		if err != nil {
-			return outcomeCls{}, err
-		}
-		var t0 time.Time
-		if sp.classify != nil {
-			t0 = time.Now()
-		}
-		cl, err := classify.ClassifyUser(o, clsParams)
-		if sp.classify != nil {
-			sp.classify.Observe(1, time.Since(t0))
-		}
-		if err != nil {
-			return outcomeCls{}, fmt.Errorf("classify: user %d: %w", o.User.ID, err)
-		}
-		oc := outcomeCls{out: o, cls: cl}
-		if logw != nil {
-			// Record distillation (feature extraction, Levy sampling)
-			// is CPU work, so it runs here on the pool; only the spool
-			// write happens on the collecting goroutine.
-			if oc.rec, err = outcome.NewRecord(o, cl); err != nil {
-				return outcomeCls{}, err
-			}
-			if ck != nil {
-				if oc.recBytes, err = outcome.EncodeRecord(oc.rec); err != nil {
-					return outcomeCls{}, err
-				}
-			}
-		}
-		return oc, nil
-	}
-	account := func(shard int, oc outcomeCls) error {
-		id := oc.out.User.ID
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("duplicate user ID %d (%s and %s)", id, labels[prev], labels[shard])
-		}
-		seen[id] = shard
-		stats[shard].Users++
-		stats[shard].Partition.Add(oc.out)
-		for _, k := range oc.cls.Kinds {
-			taxs[shard][k.String()]++
-		}
-		truths[shard].Add(oc.out)
-		if opts.validated != nil {
-			opts.validated(id)
-		}
-		if logw != nil {
-			return logw.Write(oc.rec)
-		}
-		return nil
-	}
-	// Recycle hook: once account has folded a user into the aggregates,
-	// nothing downstream holds the record (stats are counts, outcome
-	// records copy what they keep), so it goes back to its source's pool
-	// for the next decode to fill in place. Only sources that opt in via
-	// trace.UserRecycler participate — generational fold sources retain
-	// users across shards and deliberately do not implement it.
-	recyclers := make([]trace.UserRecycler, len(live))
-	for j, i := range live {
-		recyclers[j], _ = srcs[i].(trace.UserRecycler)
-	}
-	err := par.MergeStreams(opts.Workers, next,
-		func(j, _ int, fr trace.Frame) (outcomeCls, error) {
-			sp := spans[live[j]]
-			var t0 time.Time
-			if sp.decode != nil {
-				t0 = time.Now()
-			}
-			u, err := srcs[live[j]].DecodeFrame(fr)
-			if sp.decode != nil {
-				sp.decode.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return outcomeCls{}, err
-			}
-			return process(u, sp)
-		},
-		func(j, _ int, oc outcomeCls) error {
-			shard := live[j]
-			mergeCell := spans[shard].merge
-			var t0 time.Time
-			if mergeCell != nil {
-				t0 = time.Now()
-			}
-			err := account(shard, oc)
-			if mergeCell != nil {
-				mergeCell.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return err
-			}
-			if ck != nil {
-				ids[shard] = append(ids[shard], oc.out.User.ID)
-				if oc.recBytes != nil {
-					if err := frags[shard].AddRecord(oc.recBytes); err != nil {
-						return err
-					}
-				}
-			}
-			if recyclers[j] != nil {
-				recyclers[j].RecycleUser(oc.out.User)
-			}
-			return commitReady()
-		})
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	if err := commitReady(); err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	if gen != nil {
-		// Users that exist only in delta shards were never seen by the
-		// base-shard streams: fold and validate them now, in ascending ID
-		// order, attributed to the delta shard holding their first frame.
-		var newIDs []int
-		for _, id := range gen.ds.IDs() {
-			if _, ok := seen[id]; !ok {
-				newIDs = append(newIDs, id)
-			}
-		}
-		ocs, err := par.Map(opts.Workers, len(newIDs), func(i int) (outcomeCls, error) {
-			sp := spans[gen.ds.Home(newIDs[i])]
-			var t0 time.Time
-			if sp.fold != nil {
-				t0 = time.Now()
-			}
-			u, err := gen.ds.FoldNew(newIDs[i])
-			if sp.fold != nil {
-				sp.fold.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return outcomeCls{}, err
-			}
-			return process(u, sp)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		for i, oc := range ocs {
-			home := gen.ds.Home(newIDs[i])
-			mergeCell := spans[home].merge
-			var t0 time.Time
-			if mergeCell != nil {
-				t0 = time.Now()
-			}
-			err := account(home, oc)
-			if mergeCell != nil {
-				mergeCell.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-		}
-		// Cross-check the manifest's per-delta-shard accounting: a delta
-		// shard's stats slot holds exactly its brand-new users.
-		for i, want := range gen.newUsers {
-			if want >= 0 && stats[i].Users != want {
-				return nil, fmt.Errorf("geosocial: delta shard %s introduced %d new users, manifest says %d",
-					labels[i], stats[i].Users, want)
-			}
-		}
-		res.Generation = gen.generation
-	}
-	if logw != nil {
-		if err := logw.Close(); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-	}
-	res.Shards = stats
-	var truth core.TruthAccum
-	for i := range stats {
-		res.Users += stats[i].Users
-		res.Partition.Merge(stats[i].Partition)
-		for k, c := range taxs[i] {
-			res.Taxonomy[k] += c
-		}
-		truth.AddCounts(truths[i].Counts())
-	}
-	if truth.Labeled() > 0 {
-		sc, err := truth.Score()
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		res.Truth = &sc
-	}
-	return res, nil
+	p.sources = live
+	return nil
 }
 
 // ValidationResult is the outcome of the §4 pipeline on one dataset.

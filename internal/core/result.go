@@ -12,7 +12,7 @@ import (
 // ValidationResult: the aggregate outputs of validating a dataset file
 // (or sharded corpus) user by user, without retaining per-user
 // outcomes. It is the unit of exchange across the system's edges — the
-// facade's ValidateFile returns it, geovalidate -json prints it, and
+// facade's ValidateFileOpts returns it, geovalidate -json prints it, and
 // the geoserve service caches and serves it — so its JSON field names
 // are a compatibility contract (pinned by tests at each of those
 // layers).
@@ -36,9 +36,9 @@ type StreamResult struct {
 	// Truth scores the matcher against generator ground-truth labels; nil
 	// when the dataset carries none (real data).
 	Truth *TruthScore `json:"truth,omitempty"`
-	// Shards holds per-input statistics when the input was a shard set
-	// (or an explicit path list); nil for a plain single file. The
-	// aggregate fields above never depend on how the corpus was split.
+	// Shards holds per-input statistics when the input was a shard set;
+	// nil for a plain single file. The aggregate fields above never
+	// depend on how the corpus was split.
 	Shards []ShardStat `json:"shards,omitempty"`
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"geosocial/internal/rng"
@@ -29,194 +27,6 @@ func onGridDataset(t *testing.T, scale float64, seed uint64) *trace.Dataset {
 		t.Fatal(err)
 	}
 	return onGrid
-}
-
-// splitUsers deals the dataset's users round-robin into n slices.
-func splitUsers(ds *trace.Dataset, n int) []*trace.Dataset {
-	out := make([]*trace.Dataset, n)
-	for i := range out {
-		out[i] = &trace.Dataset{Name: ds.Name, POIs: ds.POIs}
-	}
-	for i, u := range ds.Users {
-		out[i%n].Users = append(out[i%n].Users, u)
-	}
-	return out
-}
-
-// binaryShardSources encodes each split as a standalone binary stream
-// and opens a StreamReader over it, so decode really runs from raw
-// frames.
-func binaryShardSources(t *testing.T, splits []*trace.Dataset) []trace.FrameSource {
-	t.Helper()
-	srcs := make([]trace.FrameSource, len(splits))
-	for i, part := range splits {
-		var buf bytes.Buffer
-		if err := part.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sr, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs[i] = sr
-	}
-	return srcs
-}
-
-// TestValidateShardsMatchesDataset is the core determinism contract:
-// validating K binary shards concurrently yields exactly the partition
-// of single-dataset validation of the same users, for shard counts
-// {1, 3, 8} x worker counts {1, 8}, with per-shard partitions that sum
-// to the whole.
-func TestValidateShardsMatchesDataset(t *testing.T) {
-	ds := onGridDataset(t, 0.05, 42)
-	ref := NewValidator()
-	ref.Parallelism = 1
-	_, wantPart, err := ref.ValidateDataset(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				splits := splitUsers(ds, shards)
-				srcs := binaryShardSources(t, splits)
-				v := NewValidator()
-				v.Parallelism = workers
-				users := 0
-				parts, err := v.ValidateShards(db, srcs, func(shard int, o UserOutcome) error {
-					users++
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if users != len(ds.Users) {
-					t.Fatalf("sink saw %d users, want %d", users, len(ds.Users))
-				}
-				var got Partition
-				for _, p := range parts {
-					got.Merge(p)
-				}
-				if got != wantPart {
-					t.Fatalf("merged partition %+v, want %+v", got, wantPart)
-				}
-				for s, p := range parts {
-					if want := countPartition(t, splits[s]); p != want {
-						t.Fatalf("shard %d partition %+v, want %+v", s, p, want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// countPartition validates one split serially as the per-shard
-// reference.
-func countPartition(t *testing.T, part *trace.Dataset) Partition {
-	t.Helper()
-	v := NewValidator()
-	v.Parallelism = 1
-	_, p, err := v.ValidateDataset(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestValidateShardsRejectsCrossShardDuplicates covers the set-wide
-// duplicate user ID check the serial readers cannot perform.
-func TestValidateShardsRejectsCrossShardDuplicates(t *testing.T) {
-	ds := onGridDataset(t, 0.02, 7)
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both shards carry the full user list: every ID is a duplicate.
-	srcs := []trace.FrameSource{
-		trace.SourceFrames(ds.Source()),
-		trace.SourceFrames(ds.Source()),
-	}
-	for _, workers := range []int{1, 8} {
-		v := NewValidator()
-		v.Parallelism = workers
-		_, err := v.ValidateShards(db, srcs, nil)
-		if err == nil || !strings.Contains(err.Error(), "duplicate user ID") {
-			t.Fatalf("workers=%d: duplicate users accepted: %v", workers, err)
-		}
-		srcs = []trace.FrameSource{ // fresh cursors for the next round
-			trace.SourceFrames(ds.Source()),
-			trace.SourceFrames(ds.Source()),
-		}
-	}
-}
-
-// TestResumeShards covers the checkpoint-aware entry point: skipped
-// shards are never streamed, live shards produce exactly the
-// partitions a full run produces for them, and a pre-seeded seen map
-// still rejects duplicates between a skipped shard's users and a live
-// shard's.
-func TestResumeShards(t *testing.T) {
-	ds := onGridDataset(t, 0.05, 42)
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 3
-	splits := splitUsers(ds, shards)
-	for _, workers := range []int{1, 8} {
-		v := NewValidator()
-		v.Parallelism = workers
-		full, err := v.ValidateShards(db, binaryShardSources(t, splits), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Skip shard 0; its source slot may be nil. Seed seen with its
-		// user IDs, as a checkpoint-driven resume does.
-		srcs := binaryShardSources(t, splits)
-		srcs[0] = nil
-		skip := []bool{true, false, false}
-		seen := make(map[int]int)
-		for _, u := range splits[0].Users {
-			seen[u.ID] = 0
-		}
-		sunk := 0
-		parts, err := v.ResumeShards(db, srcs, skip, seen, func(shard int, o UserOutcome) error {
-			if shard == 0 {
-				t.Fatalf("sink saw an outcome for the skipped shard")
-			}
-			sunk++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want := len(splits[1].Users) + len(splits[2].Users); sunk != want {
-			t.Fatalf("workers=%d: sink saw %d users, want %d", workers, sunk, want)
-		}
-		if parts[0] != (Partition{}) {
-			t.Fatalf("workers=%d: skipped shard has partition %+v", workers, parts[0])
-		}
-		for s := 1; s < shards; s++ {
-			if parts[s] != full[s] {
-				t.Fatalf("workers=%d: shard %d partition %+v, want %+v", workers, s, parts[s], full[s])
-			}
-		}
-
-		// A live user colliding with a seeded (checkpointed) ID fails.
-		dup := binaryShardSources(t, splits)
-		dup[0] = nil
-		seen2 := map[int]int{splits[1].Users[0].ID: 0}
-		_, err = v.ResumeShards(db, dup, skip, seen2, nil)
-		if err == nil || !strings.Contains(err.Error(), "duplicate user ID") {
-			t.Fatalf("workers=%d: seeded duplicate accepted: %v", workers, err)
-		}
-	}
 }
 
 // TestTruthCountsRoundTrip pins the serializable snapshot against the

@@ -1,169 +1,13 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"io"
-	"reflect"
 	"testing"
-	"time"
 
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
 	"geosocial/internal/trace"
 )
-
-// TestValidateStreamMatchesDataset pins the streaming path to the
-// in-memory path: for the same users, ValidateStream must deliver the
-// exact outcome sequence and partition ValidateDataset produces, at
-// worker counts 1 and 8.
-func TestValidateStreamMatchesDataset(t *testing.T) {
-	for _, c := range []struct {
-		seed  uint64
-		scale float64
-	}{
-		{3, 0.03},
-		{42, 0.05},
-	} {
-		t.Run(fmt.Sprintf("seed=%d/scale=%g", c.seed, c.scale), func(t *testing.T) {
-			ds, err := synth.Generate(synth.PrimaryConfig().Scale(c.scale), rng.New(c.seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := NewValidator()
-			ref.Parallelism = 1
-			wantOuts, wantPart, err := ref.ValidateDataset(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := ds.DB()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 8} {
-				v := NewValidator()
-				v.Parallelism = workers
-				var gotOuts []UserOutcome
-				gotPart, err := v.ValidateStream(db, ds.Source(), func(o UserOutcome) error {
-					gotOuts = append(gotOuts, o)
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotPart != wantPart {
-					t.Fatalf("workers=%d: partition %+v, want %+v", workers, gotPart, wantPart)
-				}
-				if len(gotOuts) != len(wantOuts) {
-					t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(gotOuts), len(wantOuts))
-				}
-				for i := range gotOuts {
-					if !reflect.DeepEqual(gotOuts[i], wantOuts[i]) {
-						t.Fatalf("workers=%d: outcome %d differs from in-memory path", workers, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestValidateStreamNilSink allows aggregate-only consumers.
-func TestValidateStreamNilSink(t *testing.T) {
-	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.02), rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantPart, err := NewValidator().ValidateDataset(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPart, err := NewValidator().ValidateStream(db, ds.Source(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotPart != wantPart {
-		t.Fatalf("partition %+v, want %+v", gotPart, wantPart)
-	}
-}
-
-// errSource fails after yielding a fixed number of users.
-type errSource struct {
-	users []*trace.User
-	pos   int
-	err   error
-}
-
-func (s *errSource) Next() (*trace.User, error) {
-	if s.pos >= len(s.users) {
-		return nil, s.err
-	}
-	u := s.users[s.pos]
-	s.pos++
-	return u, nil
-}
-
-// TestValidateStreamErrors covers the two failure directions: a failing
-// source and a failing per-user pipeline (invalid params), at both worker
-// counts.
-func TestValidateStreamErrors(t *testing.T) {
-	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.02), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcErr := errors.New("disk on fire")
-	for _, workers := range []int{1, 8} {
-		v := NewValidator()
-		v.Parallelism = workers
-		if _, err := v.ValidateStream(db, &errSource{users: ds.Users[:3], err: srcErr}, nil); !errors.Is(err, srcErr) {
-			t.Errorf("workers=%d: source error not propagated: %v", workers, err)
-		}
-
-		bad := &Validator{Params: Params{Alpha: -1, Beta: time.Minute}, Parallelism: workers}
-		_, err := bad.ValidateStream(db, ds.Source(), nil)
-		if err == nil {
-			t.Errorf("workers=%d: invalid params accepted", workers)
-		}
-	}
-}
-
-// TestValidateStreamSinkError stops the stream when the sink fails.
-func TestValidateStreamSinkError(t *testing.T) {
-	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.02), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinkErr := errors.New("downstream full")
-	for _, workers := range []int{1, 8} {
-		v := NewValidator()
-		v.Parallelism = workers
-		calls := 0
-		_, err := v.ValidateStream(db, ds.Source(), func(UserOutcome) error {
-			calls++
-			if calls == 2 {
-				return sinkErr
-			}
-			return nil
-		})
-		if !errors.Is(err, sinkErr) {
-			t.Errorf("workers=%d: sink error not propagated: %v", workers, err)
-		}
-		if calls != 2 {
-			t.Errorf("workers=%d: sink called %d times, want 2", workers, calls)
-		}
-	}
-}
 
 // TestTruthAccumMatchesScore pins the incremental scorer to the batch
 // one.

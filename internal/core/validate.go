@@ -127,20 +127,30 @@ type StageObserver interface {
 	Observe(n int, d time.Duration)
 }
 
-// validateUser runs the §4 pipeline — visit detection then matching —
-// for one user. It is pure: both the in-memory and streaming paths call
-// it, which is what makes their outputs identical.
-func validateUser(u *trace.User, db *poi.DB, params Params, vcfg visits.Config) (UserOutcome, error) {
-	return validateUserSpans(u, db, params, vcfg, nil, nil)
+// Add accumulates one user outcome into the partition; summing outcomes
+// in any order yields the dataset-level Figure 1 split.
+func (p *Partition) Add(o UserOutcome) {
+	p.Checkins += len(o.User.Checkins)
+	p.Visits += len(o.Visits)
+	p.Honest += o.Match.Honest()
+	p.Extraneous += o.Match.Extraneous()
+	p.Missing += o.Match.Missing()
 }
 
-// validateUserSpans is validateUser with optional per-stage
-// instrumentation. seg and match must be nil interfaces — not typed nil
-// pointers — when spans are disabled: the nil checks below are what
-// keeps the uninstrumented path free of clock reads, so outputs (which
-// never depend on the observed times) and performance both stay exactly
-// as before.
-func validateUserSpans(u *trace.User, db *poi.DB, params Params, vcfg visits.Config, seg, match StageObserver) (UserOutcome, error) {
+// ValidateUserSpans runs the §4 pipeline — visit detection then
+// matching — for one user against a POI database, resolving zero-value
+// validator fields to the paper defaults. It is pure: ValidateDataset
+// and the facade's streaming engine both call it, which is what makes
+// their outputs identical.
+//
+// seg observes the visit-detection (segment) stage and match the
+// checkin-matching stage, each as (1 user, wall time). Pass nil
+// interfaces — not typed nil pointers — to disable either: the nil
+// checks are what keeps the uninstrumented path free of clock reads.
+// Observers only ever receive timings; they never influence the
+// outcome.
+func (v *Validator) ValidateUserSpans(u *trace.User, db *poi.DB, seg, match StageObserver) (UserOutcome, error) {
+	params, vcfg := v.resolve()
 	var t0 time.Time
 	if seg != nil {
 		t0 = time.Now()
@@ -165,62 +175,15 @@ func validateUserSpans(u *trace.User, db *poi.DB, params Params, vcfg visits.Con
 	return UserOutcome{User: u, Visits: vs, Match: res}, nil
 }
 
-// Add accumulates one user outcome into the partition; summing outcomes
-// in any order yields the dataset-level Figure 1 split.
-func (p *Partition) Add(o UserOutcome) {
-	p.Checkins += len(o.User.Checkins)
-	p.Visits += len(o.Visits)
-	p.Honest += o.Match.Honest()
-	p.Extraneous += o.Match.Extraneous()
-	p.Missing += o.Match.Missing()
-}
-
-// ValidateUser runs the §4 pipeline for one user against a POI database,
-// resolving zero-value validator fields to the paper defaults. It is the
-// per-item building block for custom streaming pipelines; ValidateStream
-// composes it with the bounded fan-out for the common case.
-func (v *Validator) ValidateUser(u *trace.User, db *poi.DB) (UserOutcome, error) {
-	params, vcfg := v.resolve()
-	return validateUser(u, db, params, vcfg)
-}
-
-// ValidateUserSpans is ValidateUser with per-stage instrumentation:
-// seg observes the visit-detection (segment) stage and match the
-// checkin-matching stage, each as (1 user, wall time). Pass nil
-// interfaces to disable either; the outcome is identical to
-// ValidateUser in all cases — observers only ever receive timings,
-// they never influence the pipeline.
-func (v *Validator) ValidateUserSpans(u *trace.User, db *poi.DB, seg, match StageObserver) (UserOutcome, error) {
-	params, vcfg := v.resolve()
-	return validateUserSpans(u, db, params, vcfg, seg, match)
-}
-
-// UpdateUser re-runs the §4 pipeline for one user whose trace changed —
-// an appended day folded into its history — and returns the outcome
-// together with the user's partition contribution, ready for the
-// subtract-then-add update of dataset aggregates: subtract the user's
-// previous contribution, add the returned one, and the global partition
-// matches a cold run over the updated corpus in O(touched users).
-func (v *Validator) UpdateUser(u *trace.User, db *poi.DB) (UserOutcome, Partition, error) {
-	o, err := v.ValidateUser(u, db)
-	if err != nil {
-		return UserOutcome{}, Partition{}, err
-	}
-	var p Partition
-	p.Add(o)
-	return o, p, nil
-}
-
 // ValidateDataset runs visit detection and matching for every user and
 // returns the per-user outcomes with the dataset partition.
 func (v *Validator) ValidateDataset(ds *trace.Dataset) ([]UserOutcome, Partition, error) {
-	params, vcfg := v.resolve()
 	db, err := ds.DB()
 	if err != nil {
 		return nil, Partition{}, fmt.Errorf("core: %w", err)
 	}
 	outs, err := par.Map(v.Parallelism, len(ds.Users), func(i int) (UserOutcome, error) {
-		return validateUser(ds.Users[i], db, params, vcfg)
+		return v.ValidateUserSpans(ds.Users[i], db, nil, nil)
 	})
 	if err != nil {
 		return nil, Partition{}, err
@@ -230,109 +193,6 @@ func (v *Validator) ValidateDataset(ds *trace.Dataset) ([]UserOutcome, Partition
 		part.Add(o)
 	}
 	return outs, part, nil
-}
-
-// ValidateStream is ValidateDataset over a user stream: it pulls users
-// one at a time from src, validates them on v.Parallelism workers with a
-// bounded in-flight window (memory O(workers), not O(users)), and calls
-// sink — which may be nil — with each outcome strictly in stream order on
-// the calling goroutine. Paired with a trace.StreamReader this validates
-// datasets far larger than memory.
-//
-// The outcomes delivered to sink and the returned partition are identical
-// to ValidateDataset over the same users, for any worker count; see
-// par.MapStream for the scheduling contract. Outcomes are not retained
-// after sink returns, so a sink that needs per-user state must copy it.
-func (v *Validator) ValidateStream(db *poi.DB, src trace.UserSource, sink func(UserOutcome) error) (Partition, error) {
-	params, vcfg := v.resolve()
-	var part Partition
-	err := par.MapStream(v.Parallelism,
-		func() (*trace.User, error) { return src.Next() },
-		func(_ int, u *trace.User) (UserOutcome, error) {
-			return validateUser(u, db, params, vcfg)
-		},
-		func(_ int, o UserOutcome) error {
-			part.Add(o)
-			if sink != nil {
-				return sink(o)
-			}
-			return nil
-		})
-	if err != nil {
-		return Partition{}, err
-	}
-	return part, nil
-}
-
-// ValidateShards is ValidateStream over a set of shard streams read
-// concurrently: each shard's frames are fetched by a dedicated reader
-// goroutine (overlapping I/O across files), decode + visit detection +
-// matching run per user on a single shared pool of v.Parallelism
-// workers, and sink — which may be nil — receives each outcome on the
-// calling goroutine in the deterministic merged order of
-// par.MergeStreams. Duplicate user IDs are rejected across the whole
-// set, exactly as single-stream readers reject them within one file.
-//
-// The returned partitions are per shard, merged-ready: merging them in
-// shard order (or any order — Merge is commutative) yields exactly the
-// partition ValidateStream would produce over the concatenated users,
-// for any worker count and any shard count.
-func (v *Validator) ValidateShards(db *poi.DB, shards []trace.FrameSource, sink func(shard int, o UserOutcome) error) ([]Partition, error) {
-	return v.ResumeShards(db, shards, nil, nil, sink)
-}
-
-// ResumeShards is the checkpoint-aware form of ValidateShards: shards
-// whose skip entry is true are not opened or streamed at all (their
-// partitions come from a checkpoint store and stay zero here), and seen
-// — which may be nil — pre-seeds the cross-shard duplicate-ID check
-// with the user IDs the skipped shards contributed, so a duplicate
-// between a checkpointed shard and a live one is still rejected exactly
-// as an uninterrupted run rejects it. A nil skip streams every shard;
-// entries of a skipped shard's FrameSource slice may be nil.
-//
-// The live shards are validated in the merged order par.MergeStreams
-// defines over them alone, so the outcomes delivered to sink — and the
-// returned per-shard partitions — are identical to what a full
-// ValidateShards run delivers for those shards, for any worker count.
-func (v *Validator) ResumeShards(db *poi.DB, shards []trace.FrameSource, skip []bool, seen map[int]int, sink func(shard int, o UserOutcome) error) ([]Partition, error) {
-	params, vcfg := v.resolve()
-	parts := make([]Partition, len(shards))
-	if seen == nil {
-		seen = make(map[int]int, 256) // user ID -> shard, for the cross-shard duplicate check
-	}
-	var live []int // live[j] = original shard index of merged source j
-	next := make([]func() (trace.Frame, error), 0, len(shards))
-	for s := range shards {
-		if skip != nil && skip[s] {
-			continue
-		}
-		live = append(live, s)
-		next = append(next, shards[s].NextFrame)
-	}
-	err := par.MergeStreams(v.Parallelism, next,
-		func(j, _ int, fr trace.Frame) (UserOutcome, error) {
-			u, err := shards[live[j]].DecodeFrame(fr)
-			if err != nil {
-				return UserOutcome{}, err
-			}
-			return validateUser(u, db, params, vcfg)
-		},
-		func(j, _ int, o UserOutcome) error {
-			shard := live[j]
-			if prev, dup := seen[o.User.ID]; dup {
-				return fmt.Errorf("core: duplicate user ID %d (shards %d and %d)", o.User.ID, prev, shard)
-			}
-			seen[o.User.ID] = shard
-			parts[shard].Add(o)
-			if sink != nil {
-				return sink(shard, o)
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
 }
 
 // TruthScore compares the matcher's honest/extraneous split against the

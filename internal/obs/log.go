@@ -151,10 +151,8 @@ func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, a
 // Errorf logs a formatted message at LevelError.
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args) }
 
-// Printf logs at LevelInfo. Its signature matches the pre-existing
-// Logf hooks (serve.Config.Logf, StreamOptions.Logf), so routing the
-// old ad-hoc progress lines through the structured logger is one
-// assignment: opts.Logf = logger.Printf.
+// Printf logs a formatted message at LevelInfo — the level of the
+// pipeline's and the service's progress lines.
 func (l *Logger) Printf(format string, args ...any) { l.logf(LevelInfo, format, args) }
 
 func (l *Logger) logf(lv Level, format string, args []any) {

@@ -146,6 +146,28 @@ func TestCollectorNilSafe(t *testing.T) {
 	}
 }
 
+// TestCellStartStop pins the span helper: a nil cell returns the zero
+// time (no clock read) and allocates nothing; a live cell records the
+// Stop count and a positive duration.
+func TestCellStartStop(t *testing.T) {
+	var off *Cell
+	if tm := off.Start(); !tm.IsZero() {
+		t.Fatalf("nil cell Start = %v, want the zero time", tm)
+	}
+	if n := testing.AllocsPerRun(100, func() { off.Stop(off.Start(), 1) }); n != 0 {
+		t.Fatalf("nil cell Start/Stop allocates %v times", n)
+	}
+	c := NewCollector()
+	cell := c.Stage("fold", "corpus")
+	t0 := cell.Start()
+	time.Sleep(time.Millisecond)
+	cell.Stop(t0, 7)
+	snap := c.Snapshot()
+	if len(snap) != 1 || snap[0].Ops != 7 || snap[0].Elapsed <= 0 {
+		t.Fatalf("snapshot after Stop = %+v", snap)
+	}
+}
+
 func TestCollectorConcurrent(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup

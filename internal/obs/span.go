@@ -68,6 +68,29 @@ func (c *Cell) Observe(n int, d time.Duration) {
 	c.nanos.Add(int64(d))
 }
 
+// Start opens a timed span on the cell: it returns the current time, or
+// the zero time without reading the clock on a nil cell. Pair it with
+// Stop:
+//
+//	t := cell.Start()
+//	... the timed work ...
+//	cell.Stop(t, n)
+func (c *Cell) Start() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Stop records n operations in the span opened by Start at t. No-op on
+// nil, so a disabled span reads no clock and allocates nothing.
+func (c *Cell) Stop(t time.Time, n int) {
+	if c == nil {
+		return
+	}
+	c.Observe(n, time.Since(t))
+}
+
 // SpanStat is one (stage, shard) measurement in a snapshot.
 type SpanStat struct {
 	Stage   string        `json:"stage"`

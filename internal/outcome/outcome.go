@@ -1,11 +1,10 @@
 // Package outcome implements the GSO1 columnar outcome log: a compact,
 // versioned on-disk record of everything the §5–§7 analyses need about a
-// validated user — and nothing they don't. Streaming validation
-// (core.Validator.ValidateStream / ValidateShards and the facade's
-// multi-source engine) discards per-user outcomes after aggregating
-// them, which keeps memory bounded but leaves nothing for the analysis
-// layer to run on. A Writer plugged in as the outcome sink captures a
-// per-user Record while the outcome is still alive; the analyses then
+// validated user — and nothing they don't. Streaming validation (the
+// facade's engine) discards per-user outcomes after aggregating them,
+// which keeps memory bounded but leaves nothing for the analysis layer
+// to run on. A Writer fed by the engine captures a per-user Record
+// while the outcome is still alive; the analyses then
 // run over the log in a single streaming pass, retaining only what
 // their math requires — O(users) aggregates for correlations and the
 // filtering trade-off, the compact full sample (feature vectors,

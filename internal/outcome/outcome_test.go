@@ -13,10 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"geosocial"
 	"geosocial/internal/classify"
 	"geosocial/internal/core"
 	"geosocial/internal/outcome"
-	"geosocial/internal/poi"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
 	"geosocial/internal/trace"
@@ -336,7 +336,11 @@ func TestLogSummarizeMatchesValidation(t *testing.T) {
 	checkins := 0
 	for i := range outs {
 		checkins += len(outs[i].User.Checkins)
-		if err := w.Add(outs[i], cls[i]); err != nil {
+		rec, err := outcome.NewRecord(outs[i], cls[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,9 +376,11 @@ func TestLogSummarizeMatchesValidation(t *testing.T) {
 	}
 }
 
-// TestSinkMatchesAdd pins the ValidateStream plumbing: the Sink
-// adapter (classify-then-add) produces the same log as explicit
-// classification.
+// TestSinkMatchesAdd pins the streaming engine's per-user record path
+// to the batch path: users validated one at a time (ValidateUserSpans,
+// ClassifyUser, NewRecord) and written in reverse order — as an
+// arbitrary merged arrival order would — produce the same log as
+// ValidateDataset + ClassifyAll written in dataset order.
 func TestSinkMatchesAdd(t *testing.T) {
 	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.02), rng.New(3))
 	if err != nil {
@@ -387,18 +393,25 @@ func TestSinkMatchesAdd(t *testing.T) {
 	v := core.NewValidator()
 
 	dir := t.TempDir()
-	viaSink := filepath.Join(dir, "sink.gso")
-	w, err := outcome.Create(viaSink, ds.Name)
+	perUser := filepath.Join(dir, "per-user.gso")
+	w, err := outcome.Create(perUser, ds.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := w.Sink(classify.Params{})
-	for _, u := range ds.Users {
-		o, err := v.ValidateUser(u, db)
+	for i := len(ds.Users) - 1; i >= 0; i-- {
+		o, err := v.ValidateUserSpans(ds.Users[i], db, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sink(o); err != nil {
+		cl, err := classify.ClassifyUser(o, classify.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := outcome.NewRecord(o, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,25 +433,25 @@ func TestSinkMatchesAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaAdd := writeLog(t, recs, ds.Name, "add.gso")
+	batch := writeLog(t, recs, ds.Name, "batch.gso")
 
-	a, err := os.ReadFile(viaSink)
+	a, err := os.ReadFile(perUser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(viaAdd)
+	b, err := os.ReadFile(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("Sink-built log differs from explicit-classification log")
+		t.Fatal("per-user log differs from batch log")
 	}
 }
 
-// TestShardSinkMatchesSink pins the ValidateShards plumbing: the same
-// dataset validated as a 3-shard corpus through ShardSink produces a
-// log byte-identical to the single-stream Sink path (canonical order
-// erases the merged shard interleaving).
+// TestShardSinkMatchesSink pins the log through the facade engine: the
+// same dataset validated as a 3-shard corpus (merged shard arrival
+// order, 4 workers) writes a log byte-identical to the serial
+// single-file run (canonical order erases the interleaving).
 func TestShardSinkMatchesSink(t *testing.T) {
 	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.03), rng.New(3))
 	if err != nil {
@@ -448,63 +461,20 @@ func TestShardSinkMatchesSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := trace.OpenShardSet(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make([]trace.FrameSource, len(ss.Manifest.Shards))
-	for i := range srcs {
-		r, err := ss.OpenShard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		srcs[i] = r
-	}
-	db, err := poi.NewDB(srcs[0].(*trace.ShardReader).POIs())
-	if err != nil {
-		t.Fatal(err)
-	}
 	shardLog := filepath.Join(t.TempDir(), "shards.gso")
-	w, err := outcome.Create(shardLog, ds.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := core.NewValidator()
-	v.Parallelism = 4
-	if _, err := v.ValidateShards(db, srcs, w.ShardSink(classify.Params{})); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := geosocial.ValidateFileOpts(manifest, geosocial.StreamOptions{Workers: 4, OutcomeLog: shardLog}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reference: the same users through the serial single-stream sink.
-	// Shard users are E7-quantized by the binary codec, so the reference
-	// must read them back from the shards too — use the single-file save
-	// of the same dataset.
+	// Reference: the single-file save of the same dataset (shard users
+	// are E7-quantized by the binary codec, so the reference must read
+	// them back from a binary file too).
 	binPath := filepath.Join(t.TempDir(), "ds.bin.gz")
 	if err := ds.SaveFile(binPath); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := trace.OpenStream(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	sdb, err := stream.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
 	refLog := filepath.Join(t.TempDir(), "ref.gso")
-	rw, err := outcome.Create(refLog, ds.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.ValidateStream(sdb, stream, rw.Sink(classify.Params{})); err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
+	if _, err := geosocial.ValidateFileOpts(binPath, geosocial.StreamOptions{Workers: 1, OutcomeLog: refLog}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -517,7 +487,7 @@ func TestShardSinkMatchesSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("ShardSink log differs from single-stream Sink log")
+		t.Fatal("3-shard log differs from single-file log")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"geosocial/internal/classify"
-	"geosocial/internal/core"
 	"geosocial/internal/detect"
 )
 
@@ -31,9 +30,9 @@ type recIdx struct {
 // header/records/trailer, and atomically renames the result into
 // place. A path ending in ".gz" is gzip-compressed.
 //
-// Use Add (or a Sink adapter) to capture live validation outcomes, or
-// Write to append pre-built records. A Writer that will not be
-// completed must be Discarded so its temp files are removed.
+// Write appends one record (outcome.NewRecord distills it from a
+// validated, classified user). A Writer that will not be completed must
+// be Discarded so its temp files are removed.
 type Writer struct {
 	path      string
 	name      string
@@ -93,38 +92,6 @@ func (w *Writer) Write(rec *Record) error {
 		w.maxSize = size
 	}
 	return nil
-}
-
-// Add distills and writes one validated, classified user.
-func (w *Writer) Add(o core.UserOutcome, cls *classify.Classification) error {
-	rec, err := NewRecord(o, cls)
-	if err != nil {
-		return err
-	}
-	return w.Write(rec)
-}
-
-// Sink adapts the writer to core.Validator.ValidateStream's outcome
-// sink: each outcome is classified with the given parameters and
-// captured. Zero params select classify.DefaultParams.
-func (w *Writer) Sink(p classify.Params) func(core.UserOutcome) error {
-	if p == (classify.Params{}) {
-		p = classify.DefaultParams()
-	}
-	return func(o core.UserOutcome) error {
-		cl, err := classify.ClassifyUser(o, p)
-		if err != nil {
-			return fmt.Errorf("outcome: classify user %d: %w", o.User.ID, err)
-		}
-		return w.Add(o, cl)
-	}
-}
-
-// ShardSink is Sink for core.Validator.ValidateShards (the shard index
-// is irrelevant to the log: Close canonicalizes the order).
-func (w *Writer) ShardSink(p classify.Params) func(int, core.UserOutcome) error {
-	sink := w.Sink(p)
-	return func(_ int, o core.UserOutcome) error { return sink(o) }
 }
 
 // Discard abandons the log: temp files are removed and nothing is

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// mergeSlot carries one in-flight item of a MergeStreams run. As with
-// streamSlot, the consumer waits on done before touching out/err.
+// mergeSlot carries one in-flight item of a MergeStreams run. The
+// consumer waits on done before touching out/err, so no lock is needed:
+// the close happens-before the receive.
 type mergeSlot[T, R any] struct {
 	shard, idx int
 	in         T
@@ -16,16 +17,18 @@ type mergeSlot[T, R any] struct {
 	done       chan struct{}
 }
 
-// MergeStreams is MapStream over K ordered sources sharing one worker
+// MergeStreams maps K ordered streams of unknown length on one worker
 // budget: items are pulled from each source by its own producer (so K
-// files can be read concurrently), mapped by f on a single shared pool
-// of workers, and delivered to sink in a deterministic merged order —
-// round-robin across the sources in index order, skipping sources that
-// have ended. For sources A and B the sink sees A0 B0 A1 B1 …, and once
-// A ends, B's remaining items back to back. The merged order depends
-// only on the sources' contents, never on worker count or scheduling.
+// files can be read concurrently; next returns io.EOF to end a
+// stream), mapped by f on a single shared pool of workers, and
+// delivered to sink in a deterministic merged order — round-robin
+// across the sources in index order, skipping sources that have ended.
+// For sources A and B the sink sees A0 B0 A1 B1 …, and once A ends, B's
+// remaining items back to back; a single source is delivered in input
+// order. The merged order depends only on the sources' contents, never
+// on worker count or scheduling.
 //
-// The contracts match MapStream, generalized to the merged order:
+// The determinism contract matches the rest of this package:
 //
 //   - sink sees every (shard, index, result) exactly once, in merged
 //     order, on the calling goroutine, for any worker count;
@@ -43,11 +46,6 @@ func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard,
 	k := len(next)
 	if k == 0 {
 		return nil
-	}
-	if k == 1 {
-		return MapStream(workers, next[0],
-			func(i int, v T) (R, error) { return f(0, i, v) },
-			func(i int, r R) error { return sink(0, i, r) })
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

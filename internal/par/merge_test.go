@@ -79,8 +79,8 @@ func seq(s, n int) []int {
 	return vals
 }
 
-// TestMergeStreamsEdges covers zero sources, all-empty sources, and the
-// single-source delegation to MapStream.
+// TestMergeStreamsEdges covers zero sources, all-empty sources, and a
+// single source.
 func TestMergeStreamsEdges(t *testing.T) {
 	if err := MergeStreams(8, nil,
 		func(s, i, v int) (int, error) { return v, nil },

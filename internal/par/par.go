@@ -22,7 +22,6 @@
 package par
 
 import (
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -142,129 +141,6 @@ func ForErr(workers, n int, f func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// streamSlot carries one in-flight item of a MapStream run. The consumer
-// waits on done before touching out/err, so no lock is needed: the close
-// happens-before the receive.
-type streamSlot[T, R any] struct {
-	idx  int
-	in   T
-	out  R
-	err  error
-	done chan struct{}
-}
-
-// MapStream is Map over a stream of unknown length: items are pulled one
-// at a time from next (which returns io.EOF to end the stream), mapped by
-// f on the given number of workers, and delivered to sink strictly in
-// input order. At most O(workers) items are in flight at any moment, so
-// memory stays bounded no matter how long the stream is.
-//
-// The determinism contract matches the rest of this package: sink sees
-// exactly the (index, result) sequence the serial loop would produce, for
-// any worker count. When several calls fail, the error returned is the
-// lowest-index one. workers == 1 runs the exact serial loop — next, f,
-// sink, repeat — with no goroutines and no read-ahead; parallel runs may
-// call next up to the window size ahead of the item sink is consuming.
-//
-// next is called from a single goroutine (not necessarily the caller's);
-// f must be safe for concurrent calls on distinct items; sink runs on the
-// calling goroutine.
-func MapStream[T, R any](workers int, next func() (T, error), f func(i int, v T) (R, error), sink func(i int, r R) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		for i := 0; ; i++ {
-			v, err := next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			r, err := f(i, v)
-			if err != nil {
-				return err
-			}
-			if err := sink(i, r); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The order channel's buffer is the in-flight window: the producer
-	// blocks once window slots are unconsumed, bounding memory. Every slot
-	// enters order before jobs, so the consumer sees each index exactly
-	// once, in input order, regardless of completion order.
-	window := 2 * workers
-	jobs := make(chan *streamSlot[T, R])
-	order := make(chan *streamSlot[T, R], window)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // producer: pulls the stream, fans slots out
-		defer wg.Done()
-		defer close(jobs)
-		defer close(order)
-		for i := 0; ; i++ {
-			v, err := next()
-			if err != nil {
-				if err != io.EOF {
-					s := &streamSlot[T, R]{idx: i, err: err, done: make(chan struct{})}
-					close(s.done)
-					select {
-					case order <- s:
-					case <-stop:
-					}
-				}
-				return
-			}
-			s := &streamSlot[T, R]{idx: i, in: v, done: make(chan struct{})}
-			select {
-			case order <- s:
-			case <-stop:
-				return
-			}
-			select {
-			case jobs <- s:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				s.out, s.err = f(s.idx, s.in)
-				close(s.done)
-			}
-		}()
-	}
-
-	// Consumer (this goroutine): reduce strictly in input order. Walking
-	// order sequentially means the first error seen is the lowest-index
-	// error — the one the serial loop would have hit first.
-	var firstErr error
-	for s := range order {
-		<-s.done
-		if s.err != nil {
-			firstErr = s.err
-			break
-		}
-		if err := sink(s.idx, s.out); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	return firstErr
 }
 
 // Map runs f over every index in [0, n) and collects the results into an

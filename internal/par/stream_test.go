@@ -9,6 +9,17 @@ import (
 	"time"
 )
 
+// The tests in this file pin MergeStreams on a single source — the
+// shape every single-file validation runs — through mapStream, which
+// gives them index-only signatures.
+
+// mapStream is MergeStreams over the one source next.
+func mapStream[T, R any](workers int, next func() (T, error), f func(i int, v T) (R, error), sink func(i int, r R) error) error {
+	return MergeStreams(workers, []func() (T, error){next},
+		func(_, i int, v T) (R, error) { return f(i, v) },
+		func(_, i int, r R) error { return sink(i, r) })
+}
+
 // sliceNext returns a next func streaming the given values then io.EOF.
 func sliceNext(vals []int) func() (int, error) {
 	i := 0
@@ -33,7 +44,7 @@ func TestMapStreamOrderAndResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var got []int
-			err := MapStream(workers, sliceNext(vals),
+			err := mapStream(workers, sliceNext(vals),
 				func(i, v int) (int, error) {
 					// Stagger completions so out-of-order finishes are real.
 					if i%7 == 0 {
@@ -66,7 +77,7 @@ func TestMapStreamOrderAndResults(t *testing.T) {
 // TestMapStreamEmpty covers the immediate-EOF stream.
 func TestMapStreamEmpty(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		err := MapStream(workers, sliceNext(nil),
+		err := mapStream(workers, sliceNext(nil),
 			func(i, v int) (int, error) { t.Error("f called on empty stream"); return 0, nil },
 			func(i, r int) error { t.Error("sink called on empty stream"); return nil })
 		if err != nil {
@@ -81,7 +92,7 @@ func TestMapStreamEmpty(t *testing.T) {
 func TestMapStreamLowestIndexError(t *testing.T) {
 	vals := make([]int, 100)
 	for _, workers := range []int{1, 4, 16} {
-		err := MapStream(workers, sliceNext(vals),
+		err := mapStream(workers, sliceNext(vals),
 			func(i, v int) (int, error) {
 				if i >= 30 {
 					return 0, fmt.Errorf("item %d failed", i)
@@ -104,7 +115,7 @@ func TestMapStreamSourceError(t *testing.T) {
 	srcErr := errors.New("stream broke")
 	for _, workers := range []int{1, 8} {
 		calls := 0
-		err := MapStream(workers,
+		err := mapStream(workers,
 			func() (int, error) {
 				calls++
 				if calls > 5 {
@@ -126,7 +137,7 @@ func TestMapStreamSinkError(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	for _, workers := range []int{1, 8} {
 		seen := 0
-		err := MapStream(workers, sliceNext(vals),
+		err := mapStream(workers, sliceNext(vals),
 			func(i, v int) (int, error) { return v, nil },
 			func(i, r int) error {
 				seen++
@@ -152,7 +163,7 @@ func TestMapStreamBoundedInFlight(t *testing.T) {
 	var pulled, delivered atomic.Int64
 	var maxInFlight atomic.Int64
 	n := 300
-	err := MapStream(workers,
+	err := mapStream(workers,
 		func() (int, error) {
 			p := pulled.Add(1)
 			if p > int64(n) {
@@ -186,7 +197,7 @@ func TestMapStreamConcurrencyCap(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	vals := make([]int, 100)
-	err := MapStream(workers, sliceNext(vals),
+	err := mapStream(workers, sliceNext(vals),
 		func(i, v int) (int, error) {
 			c := cur.Add(1)
 			defer cur.Add(-1)

@@ -215,8 +215,8 @@ func TestHTTPOutcomesAndAnalysis(t *testing.T) {
 	}
 
 	// The metrics counter reflects the two computed analyses.
-	if m := s.Snapshot(); m.AnalysesRun != 2 {
-		t.Fatalf("AnalysesRun = %d, want 2", m.AnalysesRun)
+	if n := metric(t, s, "geoserve_analyses_total"); n != 2 {
+		t.Fatalf("geoserve_analyses_total = %v, want 2", n)
 	}
 }
 

@@ -137,12 +137,11 @@ func TestAppendRunsIncrementalUpdate(t *testing.T) {
 	if updates.Load() != 1 {
 		t.Fatalf("want exactly 1 incremental update, got %d (validations: %d)", updates.Load(), calls.Load())
 	}
-	m := s.Snapshot()
-	if m.IncrementalUpdates != 1 {
-		t.Fatalf("metrics missed the update: %+v", m)
+	if n := metric(t, s, "geoserve_incremental_updates_total"); n != 1 {
+		t.Fatalf("metrics missed the update: geoserve_incremental_updates_total = %v", n)
 	}
-	if m.CacheHits != 0 {
-		t.Fatalf("internal previous-result lookup counted as a client cache hit: %+v", m)
+	if n := metric(t, s, "geoserve_cache_hits_total"); n != 0 {
+		t.Fatalf("internal previous-result lookup counted as a client cache hit: geoserve_cache_hits_total = %v", n)
 	}
 	if old, ok := s.Job(info.ID); !ok || old.Status != StatusDone {
 		t.Fatalf("old generation's job disturbed: %+v", old)
@@ -294,8 +293,8 @@ func TestAppendFallsBackToFullValidation(t *testing.T) {
 			t.Fatalf("want 1 failed update then a full validation: updates=%d calls=%d",
 				updates.Load(), calls.Load())
 		}
-		if m := s.Snapshot(); m.IncrementalUpdates != 0 {
-			t.Fatalf("failed update counted as incremental: %+v", m)
+		if n := metric(t, s, "geoserve_incremental_updates_total"); n != 0 {
+			t.Fatalf("failed update counted as incremental: geoserve_incremental_updates_total = %v", n)
 		}
 	})
 }

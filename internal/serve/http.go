@@ -203,7 +203,7 @@ func (s *Server) loadResult(w http.ResponseWriter, r *http.Request) (info JobInf
 			// dataset forever: drop both tiers and loop — the next pass
 			// misses the cache and revalidates from the spool, exactly as
 			// for an eviction.
-			s.logf("serve: %s: dropping corrupt cached result: %v", info.Path, err)
+			s.cfg.Logger.Printf("serve: %s: dropping corrupt cached result: %v", info.Path, err)
 			s.cache.Delete(id)
 			fromCache = false
 			continue
@@ -402,7 +402,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 			if !json.Valid(data) {
 				// Torn disk write: drop the entry and recompute instead of
 				// serving garbage with a 200.
-				s.logf("serve: %s: dropping corrupt cached %s analysis", info.Path, kind)
+				s.cfg.Logger.Printf("serve: %s: dropping corrupt cached %s analysis", info.Path, kind)
 				s.cache.Delete(key)
 				fromCache = false
 			} else {
@@ -470,7 +470,7 @@ func (s *Server) runAnalysis(info JobInfo, key, kind string) (data []byte, errSt
 	}
 	s.sm.analyses.Inc()
 	s.cachePut(key, data)
-	s.logf("serve: %s: computed %s analysis (%s)", info.Path, kind, shortID(info.ID))
+	s.cfg.Logger.Printf("serve: %s: computed %s analysis (%s)", info.Path, kind, shortID(info.ID))
 	return data, 0, nil
 }
 

@@ -17,11 +17,10 @@ import (
 	"geosocial/internal/obs"
 )
 
-// serverMetrics owns the server's registered instruments. Counters are
-// incremented at the same sites the old mutex-guarded struct was;
-// gauges that used to be computed inside Snapshot (cache stats, job
-// queue depths, uptime) are registered as scrape-time functions, so
-// /metrics and Snapshot read the same live values.
+// serverMetrics owns the server's registered instruments — the one
+// view of the service counters. Gauges over live server state (cache
+// stats, job queue depths, uptime) are registered as scrape-time
+// functions, so /metrics always reads current values.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -32,8 +31,9 @@ type serverMetrics struct {
 	analyses  *obs.Counter // log-backed analyses actually run
 	updates   *obs.Counter // validations satisfied by the incremental path
 
-	// validateNanos preserves Metrics.ValidateTime at full Duration
-	// precision; the histogram's float-seconds sum would round it.
+	// validateNanos sums validation wall time at full Duration
+	// precision for the users-per-second gauge; the histogram's
+	// float-seconds sum would round it.
 	validateNanos atomic.Int64
 
 	validateSeconds *obs.Histogram // per-validation wall time
@@ -75,7 +75,7 @@ func newServerMetrics(reg *obs.Registry, s *Server, spans *obs.Collector) *serve
 		})
 
 	// Cache-tier and job-queue gauges read live server state at scrape
-	// time, exactly as Snapshot always has.
+	// time.
 	reg.RegisterCounterFunc("geoserve_cache_hits_total",
 		"Result-cache hits across all tiers.",
 		func() int64 { mem, disk, _, _, _ := s.cache.Stats(); return mem + disk })

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -53,15 +54,34 @@ func sampleValue(t *testing.T, metrics, name string) float64 {
 	return 0
 }
 
+// metric scrapes /metrics through the server's handler and returns
+// the value of one unlabeled sample.
+func metric(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: %d", rec.Code)
+	}
+	return sampleValue(t, rec.Body.String(), name)
+}
+
 // TestMetricsBackCompat: every metric name the pre-registry /metrics
 // endpoint printed must survive the migration with the same value
-// semantics — asserted against Snapshot, which reads the same
-// instruments.
+// semantics — asserted against the counts the test flow itself
+// produces.
 func TestMetricsBackCompat(t *testing.T) {
-	var calls, updates atomic.Int64
+	var calls, updates, users atomic.Int64
 	s := newTestServer(t, &calls, func(c *Config) {
 		c.RetainOutcomes = true
-		c.Validate = loggingValidate(t, &calls)
+		validate := loggingValidate(t, &calls)
+		c.Validate = func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
+			res, err := validate(path, workers, outcomeLog, checkpointDir)
+			if err == nil {
+				users.Add(int64(res.Users))
+			}
+			return res, err
+		}
 		c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
 			updates.Add(1)
 			if outcomeLog != "" {
@@ -69,6 +89,7 @@ func TestMetricsBackCompat(t *testing.T) {
 					t.Error(err)
 				}
 			}
+			users.Add(int64(prev.Users + 1))
 			return &core.StreamResult{Name: "fake", Users: prev.Users + 1, Taxonomy: map[string]int{}}, nil
 		}
 	})
@@ -104,40 +125,43 @@ func TestMetricsBackCompat(t *testing.T) {
 	}
 	waitDone(t, s, grown.ID)
 
-	m := s.Snapshot()
 	metrics := scrapeMetrics(t, ts)
+	const failures = 1 // the FAIL upload
 	exact := map[string]float64{
-		"geoserve_datasets_validated_total":  float64(m.DatasetsValidated),
-		"geoserve_validate_failures_total":   float64(m.ValidateFailures),
-		"geoserve_users_validated_total":     float64(m.UsersValidated),
-		"geoserve_users_per_second":          m.UsersPerSecond,
-		"geoserve_uploads_total":             float64(m.Uploads),
-		"geoserve_analyses_total":            float64(m.AnalysesRun),
-		"geoserve_incremental_updates_total": float64(m.IncrementalUpdates),
-		"geoserve_cache_hits_total":          float64(m.CacheHits),
-		"geoserve_cache_memory_hits_total":   float64(m.CacheMemoryHits),
-		"geoserve_cache_disk_hits_total":     float64(m.CacheDiskHits),
-		"geoserve_cache_misses_total":        float64(m.CacheMisses),
-		"geoserve_cache_entries":             float64(m.CacheEntries),
-		"geoserve_cache_capacity":            float64(m.CacheCapacity),
-		"geoserve_jobs_pending":              float64(m.JobsPending),
-		"geoserve_jobs_running":              float64(m.JobsRunning),
+		"geoserve_datasets_validated_total":  float64(calls.Load() - failures + updates.Load()),
+		"geoserve_validate_failures_total":   failures,
+		"geoserve_users_validated_total":     float64(users.Load()),
+		"geoserve_uploads_total":             3,
+		"geoserve_analyses_total":            0,
+		"geoserve_incremental_updates_total": 1,
+		"geoserve_cache_disk_hits_total":     0, // memory-only cache
+		"geoserve_cache_capacity":            64,
+		"geoserve_jobs_pending":              0,
+		"geoserve_jobs_running":              0,
 	}
 	for name, want := range exact {
 		if got := sampleValue(t, metrics, name); got != want {
-			t.Errorf("%s = %v, want %v (Snapshot: %+v)", name, got, want, m)
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	// Uptime keeps ticking between Snapshot and scrape; only its
-	// presence and ordering are stable.
-	if up := sampleValue(t, metrics, "geoserve_uptime_seconds"); up < m.Uptime.Seconds() {
-		t.Errorf("geoserve_uptime_seconds = %v went backwards from %v", up, m.Uptime.Seconds())
+	// Throughput is users over cumulative validation wall time, the
+	// same seconds the duration histogram sums.
+	wantRate := float64(users.Load()) / sampleValue(t, metrics, "geoserve_validation_duration_seconds_sum")
+	if got := sampleValue(t, metrics, "geoserve_users_per_second"); math.Abs(got-wantRate) > 1e-6*wantRate {
+		t.Errorf("geoserve_users_per_second = %v, want %v", got, wantRate)
 	}
-	// Sanity on the flow itself: something was validated, failed,
-	// uploaded, cache-hit, and incrementally updated above.
-	if m.DatasetsValidated == 0 || m.ValidateFailures == 0 || m.Uploads != 3 ||
-		m.CacheHits == 0 || m.IncrementalUpdates != 1 {
-		t.Fatalf("test flow did not exercise the counters: %+v", m)
+	hits := sampleValue(t, metrics, "geoserve_cache_hits_total")
+	if mem := sampleValue(t, metrics, "geoserve_cache_memory_hits_total"); hits == 0 || hits != mem {
+		t.Errorf("geoserve_cache_hits_total = %v, memory hits %v: want equal and nonzero", hits, mem)
+	}
+	if sampleValue(t, metrics, "geoserve_cache_misses_total") == 0 {
+		t.Error("geoserve_cache_misses_total = 0: the first lookup of each dataset misses")
+	}
+	if n := sampleValue(t, metrics, "geoserve_cache_entries"); n < 1 || n > 64 {
+		t.Errorf("geoserve_cache_entries = %v, want within [1, 64]", n)
+	}
+	if up := sampleValue(t, metrics, "geoserve_uptime_seconds"); up <= 0 {
+		t.Errorf("geoserve_uptime_seconds = %v, want > 0", up)
 	}
 }
 
@@ -307,7 +331,6 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 				for _, err := range obs.LintExposition([]byte(payload)) {
 					t.Errorf("mid-load exposition lint: %v", err)
 				}
-				s.Snapshot()
 			}
 		}()
 	}
@@ -317,13 +340,9 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	for _, err := range obs.LintExposition([]byte(metrics)) {
 		t.Errorf("final exposition lint: %v", err)
 	}
-	m := s.Snapshot()
-	if m.Uploads != uploaders {
-		t.Errorf("uploads = %d, want %d", m.Uploads, uploaders)
-	}
 	// Base + per-append validations, all successful, none failed.
-	if m.ValidateFailures != 0 {
-		t.Errorf("unexpected validation failures: %+v", m)
+	if got := sampleValue(t, metrics, "geoserve_validate_failures_total"); got != 0 {
+		t.Errorf("geoserve_validate_failures_total = %v, want 0", got)
 	}
 	if got := sampleValue(t, metrics, "geoserve_uploads_total"); got != uploaders {
 		t.Errorf("geoserve_uploads_total = %v, want %d", got, uploaders)
@@ -331,7 +350,7 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	if got := sampleValue(t, metrics, "geoserve_upload_bytes_count"); got != uploaders {
 		t.Errorf("geoserve_upload_bytes_count = %v, want %d", got, uploaders)
 	}
-	if got := sampleValue(t, metrics, "geoserve_datasets_validated_total"); got != float64(m.DatasetsValidated) {
-		t.Errorf("scrape (%v) and Snapshot (%d) disagree on validations", got, m.DatasetsValidated)
+	if got := sampleValue(t, metrics, "geoserve_datasets_validated_total"); got != float64(calls.Load()) {
+		t.Errorf("geoserve_datasets_validated_total = %v, want %d validations run", got, calls.Load())
 	}
 }

@@ -6,7 +6,7 @@
 // for dataset files — JSON, binary GSB1, or shard-set manifests — and
 // validates each one through an injected ValidateFunc, which the
 // geosocial facade wires to the same streaming engine geovalidate uses
-// (core.ValidateStream / core.ValidateShards on the par worker pool).
+// (geosocial.ValidateFileOpts on the par worker pool).
 // Because the service and the CLI share one engine and validation is
 // deterministic for any worker count, serving a dataset yields results
 // byte-identical to running geovalidate on the same file.
@@ -157,9 +157,10 @@ type Config struct {
 	// PollInterval is the spool scan period. 0 selects 2s; < 0 disables
 	// the watcher entirely (uploads still work).
 	PollInterval time.Duration
-	// Logf, when non-nil, receives one line per lifecycle event
-	// (discovered, validated, failed, cache hit).
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives one info line per lifecycle event
+	// (discovered, validated, failed, cache hit). A nil logger stays
+	// silent.
+	Logger *obs.Logger
 	// Registry, when non-nil, receives every geoserve_* instrument and
 	// backs the /metrics exposition. Each Server registers its metric
 	// names once, so a Registry serves at most one Server; nil makes a
@@ -377,13 +378,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// logf forwards to Config.Logf when set.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // Close stops the spool watcher, waits for running validations to
 // finish, and leaves queued jobs pending. Safe to call more than once.
 func (s *Server) Close() error {
@@ -521,7 +515,7 @@ func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, err
 	}
-	s.logf("serve: %s: appended generation %d (%s -> %s)",
+	s.cfg.Logger.Printf("serve: %s: appended generation %d (%s -> %s)",
 		s.displayPath(path), aw.Generation(), shortID(id), shortID(sum))
 	return s.register(path, sum, id)
 }
@@ -593,7 +587,7 @@ func (s *Server) register(path, sum, appendFrom string) (JobInfo, error) {
 			j.info.Cached = false
 			j.info.ElapsedMS = 0
 			j.done = make(chan struct{})
-			s.logf("serve: %s: %s (%s)", j.info.Path, reason, shortID(sum))
+			s.cfg.Logger.Printf("serve: %s: %s (%s)", j.info.Path, reason, shortID(sum))
 			s.enqueueLocked(j, path)
 		}
 		return j.info, nil
@@ -634,10 +628,10 @@ func (s *Server) register(path, sum, appendFrom string) (JobInfo, error) {
 			j.info.Users = res.Users
 		}
 		close(j.done)
-		s.logf("serve: %s: cache hit (%s)", j.info.Path, shortID(sum))
+		s.cfg.Logger.Printf("serve: %s: cache hit (%s)", j.info.Path, shortID(sum))
 		return j.info, nil
 	}
-	s.logf("serve: %s: queued (%s)", j.info.Path, shortID(sum))
+	s.cfg.Logger.Printf("serve: %s: queued (%s)", j.info.Path, shortID(sum))
 	s.enqueueLocked(j, path)
 	return j.info, nil
 }
@@ -737,7 +731,7 @@ func (s *Server) runJob(j *job, path string) {
 				// An incremental failure is not a verdict on the dataset
 				// (the previous log may be stale or torn); the full path
 				// decides.
-				s.logf("serve: %s: incremental update failed (%v), revalidating in full", j.info.Path, err)
+				s.cfg.Logger.Printf("serve: %s: incremental update failed (%v), revalidating in full", j.info.Path, err)
 				res, err = nil, nil
 			}
 		}
@@ -810,12 +804,12 @@ func (s *Server) runJob(j *job, path string) {
 	if err != nil {
 		j.info.Status = StatusFailed
 		j.info.Error = err.Error()
-		s.logf("serve: %s: failed after %v: %v", j.info.Path, elapsed.Round(time.Millisecond), err)
+		s.cfg.Logger.Printf("serve: %s: failed after %v: %v", j.info.Path, elapsed.Round(time.Millisecond), err)
 	} else {
 		j.info.Status = StatusDone
 		j.info.Users = res.Users
 		j.noLog = noLog
-		s.logf("serve: %s: validated %d users in %v (%s)",
+		s.cfg.Logger.Printf("serve: %s: validated %d users in %v (%s)",
 			j.info.Path, res.Users, elapsed.Round(time.Millisecond), shortID(j.info.ID))
 	}
 	close(j.done)
@@ -940,7 +934,7 @@ func (s *Server) result(id string) (data []byte, info JobInfo, ok bool) {
 		j.info.Status = StatusFailed
 		j.info.Error = "cached result evicted and no spool copy remains"
 		info = j.info
-		s.logf("serve: %s: %s", j.info.Path, j.info.Error)
+		s.cfg.Logger.Printf("serve: %s: %s", j.info.Path, j.info.Error)
 		s.mu.Unlock()
 		return nil, info, true
 	}
@@ -950,7 +944,7 @@ func (s *Server) result(id string) (data []byte, info JobInfo, ok bool) {
 	j.info.ElapsedMS = 0
 	j.done = make(chan struct{})
 	info = j.info
-	s.logf("serve: %s: result evicted, revalidating", j.info.Path)
+	s.cfg.Logger.Printf("serve: %s: result evicted, revalidating", j.info.Path)
 	s.enqueueLocked(j, path)
 	s.mu.Unlock()
 	return nil, info, true
@@ -1154,7 +1148,7 @@ func (s *Server) watch() {
 func (s *Server) scanSpool(mem *spoolMemory) {
 	entries, err := os.ReadDir(s.cfg.SpoolDir)
 	if err != nil {
-		s.logf("serve: spool scan: %v", err)
+		s.cfg.Logger.Printf("serve: spool scan: %v", err)
 		return
 	}
 
@@ -1252,7 +1246,7 @@ func (s *Server) scanSpool(mem *spoolMemory) {
 		// state and retries.
 		mem.ingested[path] = st
 		if _, err := s.Add(path); err != nil {
-			s.logf("serve: spool %s: %v", e.Name(), err)
+			s.cfg.Logger.Printf("serve: spool %s: %v", e.Name(), err)
 		}
 	}
 	for path := range mem.prev {
@@ -1285,48 +1279,5 @@ func (s *Server) dropPathLocked(path string) {
 			break
 		}
 	}
-	s.logf("serve: %s: claimed as a shard, standalone job dropped", s.displayPath(path))
-}
-
-// Metrics is a point-in-time snapshot of the service counters, exposed
-// as plain text by /metrics.
-type Metrics struct {
-	DatasetsValidated  int64         // validations run to completion
-	ValidateFailures   int64         // validations that errored
-	UsersValidated     int64         // users across completed validations
-	ValidateTime       time.Duration // wall-clock spent validating
-	UsersPerSecond     float64       // UsersValidated / ValidateTime
-	Uploads            int64         // HTTP uploads accepted
-	AnalysesRun        int64         // log-backed analyses computed (cache misses)
-	IncrementalUpdates int64         // appended datasets revalidated incrementally
-	CacheHits          int64         // results served without recomputation (all tiers)
-	CacheMemoryHits    int64         // cache hits answered from the memory LRU
-	CacheDiskHits      int64         // cache hits promoted from the disk tier
-	CacheMisses        int64         // cache lookups that missed
-	CacheEntries       int           // results currently cached
-	CacheCapacity      int           // LRU capacity
-	JobsPending        int64         // jobs waiting for a slot
-	JobsRunning        int64         // validations in flight
-	Uptime             time.Duration // since New
-}
-
-// Snapshot collects the current Metrics. It reads the same registered
-// instruments /metrics serves, so the two views can never disagree.
-func (s *Server) Snapshot() Metrics {
-	var m Metrics
-	m.DatasetsValidated = s.sm.validated.Value()
-	m.ValidateFailures = s.sm.failures.Value()
-	m.UsersValidated = s.sm.users.Value()
-	m.ValidateTime = time.Duration(s.sm.validateNanos.Load())
-	m.Uploads = s.sm.uploads.Value()
-	m.AnalysesRun = s.sm.analyses.Value()
-	m.IncrementalUpdates = s.sm.updates.Value()
-	if m.ValidateTime > 0 {
-		m.UsersPerSecond = float64(m.UsersValidated) / m.ValidateTime.Seconds()
-	}
-	m.CacheMemoryHits, m.CacheDiskHits, m.CacheMisses, m.CacheEntries, m.CacheCapacity = s.cache.Stats()
-	m.CacheHits = m.CacheMemoryHits + m.CacheDiskHits
-	m.JobsPending, m.JobsRunning = s.jobCounts()
-	m.Uptime = time.Since(s.start)
-	return m
+	s.cfg.Logger.Printf("serve: %s: claimed as a shard, standalone job dropped", s.displayPath(path))
 }

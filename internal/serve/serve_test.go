@@ -161,9 +161,8 @@ func TestUploadIdempotent(t *testing.T) {
 		t.Fatalf("spool has %d entries after duplicate upload, want 1", len(entries))
 	}
 
-	m := s.Snapshot()
-	if m.Uploads != 2 || m.DatasetsValidated != 1 {
-		t.Fatalf("metrics: %+v", m)
+	if up, done := metric(t, s, "geoserve_uploads_total"), metric(t, s, "geoserve_datasets_validated_total"); up != 2 || done != 1 {
+		t.Fatalf("metrics: %v uploads, %v validated; want 2, 1", up, done)
 	}
 }
 
@@ -178,8 +177,8 @@ func TestFailedValidationReported(t *testing.T) {
 	if info.Status != StatusFailed || !strings.Contains(info.Error, "synthetic") {
 		t.Fatalf("want failed job, got %+v", info)
 	}
-	if m := s.Snapshot(); m.ValidateFailures != 1 || m.DatasetsValidated != 0 {
-		t.Fatalf("metrics after failure: %+v", m)
+	if fails, done := metric(t, s, "geoserve_validate_failures_total"), metric(t, s, "geoserve_datasets_validated_total"); fails != 1 || done != 0 {
+		t.Fatalf("metrics after failure: %v failures, %v validated; want 1, 0", fails, done)
 	}
 }
 

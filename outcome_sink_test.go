@@ -8,6 +8,7 @@ package geosocial_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -311,38 +312,61 @@ func (g *tinyUserSource) Next() (*trace.User, error) {
 }
 
 // TestOutcomeSinkBoundedMemory validates and analyzes a 3000-user
-// stream through the sink without ever materializing a
-// []core.UserOutcome: users are generated on demand, consumed by
-// ValidateStream's bounded window, distilled into log records, and the
-// analyses run over the log afterwards.
+// stream without ever materializing a []core.UserOutcome: users are
+// generated on demand and streamed to a binary file one at a time,
+// consumed by the engine's bounded window, distilled into log records,
+// and the analyses run over the log afterwards.
 func TestOutcomeSinkBoundedMemory(t *testing.T) {
 	base := geo.LatLon{Lat: 34.4208, Lon: -119.6982}
 	pois := []poi.POI{
 		{ID: 0, Name: "Cafe", Category: poi.Food, Loc: base, Popularity: 1},
 		{ID: 1, Name: "Far", Category: poi.Shop, Loc: geo.Destination(base, 90, 5000), Popularity: 1},
 	}
-	db, err := poi.NewDB(pois)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const users = 3000
 	src := &tinyUserSource{n: users, pois: pois}
-
-	logPath := filepath.Join(t.TempDir(), "big.gso")
-	w, err := outcome.Create(logPath, "big")
+	dir := t.TempDir()
+	binPath := filepath.Join(dir, "big.bin")
+	f, err := os.Create(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := core.NewValidator()
-	v.Parallelism = 8
-	part, err := v.ValidateStream(db, src, w.Sink(classify.Params{}))
+	sw, err := trace.NewStreamWriter(f, "big", pois)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	for {
+		u, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	for _, workers := range []int{1, 8} {
+		logPath := filepath.Join(dir, fmt.Sprintf("big-w%d.gso", workers))
+		res, err := geosocial.ValidateFileOpts(binPath, geosocial.StreamOptions{Workers: workers, OutcomeLog: logPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBigLog(t, logPath, res.Partition, users)
+	}
+}
+
+// checkBigLog runs the log-backed analyses over the bounded-memory
+// run's log.
+func checkBigLog(t *testing.T, logPath string, part core.Partition, users int) {
+	t.Helper()
 	sm, err := outcome.Summarize(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +375,7 @@ func TestOutcomeSinkBoundedMemory(t *testing.T) {
 		t.Fatalf("log holds %d users, want %d", sm.Users, users)
 	}
 	if sm.Partition != part {
-		t.Fatalf("log partition %+v != stream partition %+v", sm.Partition, part)
+		t.Fatalf("log partition %+v != result partition %+v", sm.Partition, part)
 	}
 	if sm.Partition.Honest == 0 || sm.Partition.Extraneous == 0 {
 		t.Fatalf("degenerate partition: %+v", sm.Partition)

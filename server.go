@@ -84,8 +84,9 @@ type ServerOptions struct {
 	// tunes crash-debris cleanup, so it is deliberately excluded from
 	// the parameter fingerprint that namespaces the persisted tiers.
 	CheckpointStale time.Duration
-	// Logf, when non-nil, receives one line per service lifecycle event.
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives one info line per service
+	// lifecycle event. A nil logger stays silent.
+	Logger *obs.Logger
 	// Registry, when non-nil, receives every geoserve_* instrument and
 	// backs the /metrics exposition (one Server per Registry). Nil makes
 	// a private registry; /metrics works either way.
@@ -119,7 +120,7 @@ func NewServer(opts ServerOptions) (*serve.Server, error) {
 		RetainCheckpoints:   opts.Checkpoints,
 		MaxCheckpointRuns:   opts.MaxCheckpointRuns,
 		PollInterval:        opts.PollInterval,
-		Logf:                opts.Logf,
+		Logger:              opts.Logger,
 		Registry:            opts.Registry,
 		Spans:               opts.Stream.Spans,
 		Validate: func(path string, workers int, outcomeLog, checkpointDir string) (*StreamResult, error) {
@@ -128,18 +129,12 @@ func NewServer(opts ServerOptions) (*serve.Server, error) {
 			o.OutcomeLog = outcomeLog
 			o.CheckpointDir = checkpointDir
 			o.CheckpointStale = opts.CheckpointStale
-			if o.Logf == nil {
-				o.Logf = opts.Logf // surface checkpoint hits in the service log
-			}
 			return ValidateFileOpts(path, o)
 		},
 		Update: func(path string, prev *StreamResult, prevLog string, workers int, outcomeLog string) (*StreamResult, error) {
 			o := opts.Stream
 			o.Workers = workers
 			o.OutcomeLog = outcomeLog
-			if o.Logf == nil {
-				o.Logf = opts.Logf
-			}
 			return UpdateValidation(path, prev, prevLog, o)
 		},
 	}

@@ -18,7 +18,7 @@ import (
 // service entry point end to end at the library layer: a sharded
 // corpus dropped into the spool is discovered by the watcher, validated
 // through the shared streaming engine, and served with aggregates
-// identical to ValidateFile on the same manifest.
+// identical to ValidateFileOpts on the same manifest.
 func TestNewServerServesShardedCorpusFromSpool(t *testing.T) {
 	study, err := geosocial.GenerateStudy(geosocial.StudyConfig{Scale: 0.03, Seed: 11})
 	if err != nil {
@@ -29,7 +29,7 @@ func TestNewServerServesShardedCorpusFromSpool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := geosocial.ValidateFile(manifest)
+	want, err := geosocial.ValidateFileOpts(manifest, geosocial.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestNewServerServesShardedCorpusFromSpool(t *testing.T) {
 	gotJSON, _ := json.Marshal(doc.Result)
 	wantJSON, _ := json.Marshal(want)
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("served sharded result differs from ValidateFile:\n%s\nvs\n%s", gotJSON, wantJSON)
+		t.Fatalf("served sharded result differs from ValidateFileOpts:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
 	if len(doc.Result.Shards) != 3 {
 		t.Fatalf("served result has %d shard stats, want 3", len(doc.Result.Shards))

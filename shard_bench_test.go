@@ -51,7 +51,7 @@ func BenchmarkValidateShards(b *testing.B) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := geosocial.ValidateFileWorkers(input, 0)
+			res, err := geosocial.ValidateFileOpts(input, geosocial.StreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"geosocial/internal/trace"
@@ -20,7 +19,7 @@ func saveSingleFile(t *testing.T) (string, *StreamResult) {
 	if err := s.Primary.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ValidateFileWorkers(path, 1)
+	ref, err := ValidateFileOpts(path, StreamOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,71 +68,6 @@ func TestValidateShardSetMatchesSingleFile(t *testing.T) {
 	}
 }
 
-// TestValidatePathsMatchesSingleFile feeds the shard files to
-// ValidatePaths directly (each shard is a standalone dataset file) and
-// checks the same byte-identity, plus duplicate-user rejection when a
-// path repeats.
-func TestValidatePathsMatchesSingleFile(t *testing.T) {
-	single, ref := saveSingleFile(t)
-	s := getStudy(t)
-	dir := t.TempDir()
-	if _, err := s.Primary.SaveShards(dir, trace.ShardOptions{Shards: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var paths []string
-	for i := 0; i < 3; i++ {
-		paths = append(paths, filepath.Join(dir, "primary-000"+string(rune('0'+i))+".bin"))
-	}
-	for _, workers := range []int{1, 8} {
-		got, err := ValidatePaths(paths, StreamOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Shards = nil
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: ValidatePaths result differs from single file", workers)
-		}
-	}
-	if _, err := ValidatePaths(nil, StreamOptions{}); err == nil {
-		t.Error("empty path list accepted")
-	}
-	if _, err := ValidatePaths([]string{single, single}, StreamOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "duplicate user ID") {
-		t.Errorf("repeated path accepted: %v", err)
-	}
-}
-
-// TestValidatePathsRejectsMismatchedCorpora covers the set-consistency
-// checks: different dataset names and different POI tables.
-func TestValidatePathsRejectsMismatchedCorpora(t *testing.T) {
-	s := getStudy(t)
-	dir := t.TempDir()
-	primary := filepath.Join(dir, "primary.bin")
-	if err := s.Primary.SaveFile(primary); err != nil {
-		t.Fatal(err)
-	}
-	baseline := filepath.Join(dir, "baseline.bin")
-	if err := s.Baseline.SaveFile(baseline); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidatePaths([]string{primary, baseline}, StreamOptions{}); err == nil {
-		t.Error("mixed primary/baseline corpus accepted")
-	}
-	// Same name, tampered POI table: rejected by checksum before any
-	// user is validated.
-	mod := *s.Primary
-	mod.POIs = append(mod.POIs[:0:0], mod.POIs...)
-	mod.POIs[0].Popularity++
-	modPath := filepath.Join(dir, "tampered.bin")
-	if err := mod.SaveFile(modPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidatePaths([]string{primary, modPath}, StreamOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "POI table") {
-		t.Errorf("mismatched POI tables accepted: %v", err)
-	}
-}
-
 // TestValidateFileShardSetErrors covers facade-level rejection of
 // broken shard sets: tampered manifests and missing shard files.
 func TestValidateFileShardSetErrors(t *testing.T) {
@@ -161,7 +95,7 @@ func TestValidateFileShardSetErrors(t *testing.T) {
 		if err := os.Remove(filepath.Join(filepath.Dir(manifest), m.Shards[0].File)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ValidateFile(manifest); err == nil {
+		if _, err := ValidateFileOpts(manifest, StreamOptions{}); err == nil {
 			t.Error("shard set with missing file accepted")
 		}
 	})
@@ -177,13 +111,13 @@ func TestValidateFileShardSetErrors(t *testing.T) {
 		if err := os.WriteFile(manifest, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ValidateFile(manifest); err == nil {
+		if _, err := ValidateFileOpts(manifest, StreamOptions{}); err == nil {
 			t.Error("shard set with tampered user counts accepted")
 		}
 	})
 
 	t.Run("directory without manifest", func(t *testing.T) {
-		if _, err := ValidateFile(t.TempDir()); err == nil {
+		if _, err := ValidateFileOpts(t.TempDir(), StreamOptions{}); err == nil {
 			t.Error("manifest-less directory accepted")
 		}
 	})

@@ -47,7 +47,7 @@ func TestValidateFileStreamingMatchesInMemory(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		for _, path := range []string{binPath, jsonPath} {
-			got, err := ValidateFileWorkers(path, workers)
+			got, err := ValidateFileOpts(path, StreamOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestValidateFileStreamingMatchesInMemory(t *testing.T) {
 // TestValidateFileErrors covers the failure paths of the streaming entry
 // point.
 func TestValidateFileErrors(t *testing.T) {
-	if _, err := ValidateFile(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+	if _, err := ValidateFileOpts(filepath.Join(t.TempDir(), "missing.bin"), StreamOptions{}); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -15,13 +15,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
-	"geosocial/internal/classify"
-	"geosocial/internal/core"
-	"geosocial/internal/obs"
 	"geosocial/internal/outcome"
-	"geosocial/internal/par"
 	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
@@ -33,8 +28,9 @@ import (
 // superseded per-user contributions come from. Only users touched by
 // the appended generations are revalidated: their delta frames are
 // folded onto the frames scanned (by cheap ID peek) from the earlier
-// shards, the folded users run through the standard pipeline, and their
-// old contributions are swapped for the new ones. When opts.OutcomeLog
+// shards, and the validation engine runs them with the previous result
+// as the contributions to add and the previous log as the ones to
+// subtract. When opts.OutcomeLog
 // is set the previous log is compacted into it with the touched users'
 // records superseded.
 //
@@ -186,203 +182,57 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		return nil, fmt.Errorf("geosocial: update: shard set has no base shards")
 	}
 
-	// Fold and revalidate the touched users on the worker pool, in
-	// ascending ID order. Each worker drops the frames it folded and,
-	// once the record is built, the folded fixes, so the update holds the
-	// traces of the users in flight rather than of every touched user.
-	v := &core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig}
-	clsParams := classify.DefaultParams()
-	type updOut struct {
-		out core.UserOutcome
-		cls *classify.Classification
-		rec *outcome.Record
-	}
-	outs, err := par.Map(opts.Workers, len(touched), func(i int) (updOut, error) {
-		id := touched[i]
-		// Span cells for the incremental path, attributed to the user's
-		// home shard. Stage lookups are get-or-create under a mutex —
-		// once per touched user, not per record — and skipped entirely
-		// when spans are off.
-		var foldCell, clsCell *obs.Cell
-		var segObs, matchObs core.StageObserver
-		if opts.Spans != nil {
-			home, ok := homeShard[id]
-			if !ok {
-				home = newHome[id]
-			}
-			label := ss.Manifest.Shards[home].File
-			foldCell = opts.Spans.Stage("fold", label)
-			clsCell = opts.Spans.Stage("classify", label)
-			segObs = opts.Spans.Stage("segment", label)
-			matchObs = opts.Spans.Stage("match", label)
-		}
-		var u *trace.User
-		var err error
-		var t0 time.Time
-		if foldCell != nil {
-			t0 = time.Now()
-		}
-		if chain := chains[i]; len(chain) > 0 {
-			chains[i] = nil // each worker owns its own index
-			deltas := append(append([]*trace.User(nil), chain[1:]...), newFrames[id]...)
-			u, err = trace.FoldUser(chain[0], deltas)
+	// The plan: the previous result's per-shard stats and taxonomy are
+	// the contributions to add, the previous log supplies the superseded
+	// contributions to subtract, and the touched users fold and
+	// revalidate in ascending ID order — an existing user into its home
+	// shard, a brand-new user into the appended shard introducing it.
+	k := len(ss.Manifest.Shards)
+	p := &plan{name: prev.Name, db: db, prior: prevLog, shards: make([]string, k), newUsers: make([]int, k)}
+	for i, info := range ss.Manifest.Shards {
+		p.shards[i] = info.File
+		p.newUsers[i] = -1
+		if i < old {
+			p.add = append(p.add, contribution{slot: i, tally: tally{users: prev.Shards[i].Users, part: prev.Shards[i].Partition}})
 		} else {
-			u, err = trace.FoldUser(newFrames[id][0], newFrames[id][1:])
+			p.newUsers[i] = info.NewUsers
 		}
-		if foldCell != nil {
-			foldCell.Observe(1, time.Since(t0))
-		}
-		if err != nil {
-			return updOut{}, err
-		}
-		o, err := v.ValidateUserSpans(u, db, segObs, matchObs)
-		if err != nil {
-			return updOut{}, err
-		}
-		if clsCell != nil {
-			t0 = time.Now()
-		}
-		cl, err := classify.ClassifyUser(o, clsParams)
-		if clsCell != nil {
-			clsCell.Observe(1, time.Since(t0))
-		}
-		if err != nil {
-			return updOut{}, fmt.Errorf("classify: user %d: %w", o.User.ID, err)
-		}
-		rec, err := outcome.NewRecord(o, cl)
-		if err != nil {
-			return updOut{}, err
-		}
-		// The merge below reads only checkins, visits and the match.
-		u.GPS = nil
-		return updOut{out: o, cls: cl, rec: rec}, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
 	}
-
-	// The updated result starts as a deep copy of the previous one, with
-	// a fresh stats slot per appended shard.
-	res := &StreamResult{
-		Name:       prev.Name,
-		Format:     trace.FormatBinary,
-		Generation: ss.Manifest.Generation,
-		Taxonomy:   make(map[string]int, len(prev.Taxonomy)),
-	}
-	for k, c := range prev.Taxonomy {
-		res.Taxonomy[k] = c
-	}
-	res.Shards = append([]ShardStat(nil), prev.Shards...)
-	for i := old; i < len(ss.Manifest.Shards); i++ {
-		res.Shards = append(res.Shards, ShardStat{Path: ss.Manifest.Shards[i].File})
-	}
-
-	// Walk the previous log: every record feeds the truth accumulator
-	// (the result only retains the derived score, not the counts), and a
-	// superseded record's partition and taxonomy contributions are
-	// subtracted from its home shard before the recomputed ones go in.
-	var truth, stale core.TruthAccum
-	pending := make(map[int]bool, len(homeShard))
-	for id := range homeShard {
-		pending[id] = true
-	}
-	observe := func(rec *outcome.Record, superseded bool) error {
-		rec.AddTruth(&truth)
-		if !superseded {
-			return nil
-		}
-		home, ok := homeShard[rec.UserID]
-		if !ok {
-			return fmt.Errorf("log has user %d, shards do not", rec.UserID)
-		}
-		delete(pending, rec.UserID)
-		rec.AddTruth(&stale)
-		var p core.Partition
-		rec.AddTo(&p)
-		res.Shards[home].Partition.Subtract(p)
-		res.Shards[home].Users--
-		for k, c := range rec.Counts() {
-			if c > 0 {
-				res.Taxonomy[classify.Kind(k).String()] -= c
-			}
-		}
-		return nil
-	}
-	if opts.OutcomeLog != "" {
-		recs := make([]*outcome.Record, len(outs))
-		for i, o := range outs {
-			recs[i] = o.rec
-		}
-		err = outcome.Append(prevLog, opts.OutcomeLog, recs, observe)
-	} else {
-		inUpdate := make(map[int]bool, len(touched))
-		for _, id := range touched {
-			inUpdate[id] = true
-		}
-		err = outcome.Scan(prevLog, func(rec *outcome.Record) error {
-			return observe(rec, inUpdate[rec.UserID])
-		})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: update: %w", err)
-	}
-	if len(pending) > 0 {
-		miss := make([]int, 0, len(pending))
-		for id := range pending {
-			miss = append(miss, id)
-		}
-		sort.Ints(miss)
-		return nil, fmt.Errorf("geosocial: update: previous outcome log has no record for touched user %d", miss[0])
-	}
-	truth.SubtractCounts(stale.Counts())
-
-	// Add the recomputed contributions: an existing user back into its
-	// home shard, a brand-new user into the appended shard introducing
-	// it.
-	for i, o := range outs {
-		id := touched[i]
+	p.add = append(p.add, contribution{slot: k, tally: tally{tax: prev.Taxonomy}}) // corpus-wide
+	p.fold = make([]foldItem, len(touched))
+	for i, id := range touched {
 		home, existing := homeShard[id]
 		if !existing {
 			home = newHome[id]
 		}
-		res.Shards[home].Users++
-		res.Shards[home].Partition.Add(o.out)
-		for _, k := range o.cls.Kinds {
-			res.Taxonomy[k.String()]++
-		}
-		truth.Add(o.out)
-		if opts.validated != nil {
-			opts.validated(id)
-		}
+		p.fold[i] = foldItem{id: id, slot: home, replaces: existing}
 	}
-	for k, c := range res.Taxonomy {
+	// Each fold drops the frames it consumed (each worker owns its own
+	// index), so the update holds the traces of the users in flight
+	// rather than of every touched user.
+	p.foldUser = func(i int) (*trace.User, error) {
+		id := touched[i]
+		if chain := chains[i]; len(chain) > 0 {
+			chains[i] = nil
+			deltas := append(append([]*trace.User(nil), chain[1:]...), newFrames[id]...)
+			return trace.FoldUser(chain[0], deltas)
+		}
+		return trace.FoldUser(newFrames[id][0], newFrames[id][1:])
+	}
+	res, err := p.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Format = trace.FormatBinary
+	res.Generation = ss.Manifest.Generation
+	for kind, c := range res.Taxonomy {
 		if c < 0 {
-			return nil, fmt.Errorf("geosocial: update: taxonomy count %q went negative", k)
+			return nil, fmt.Errorf("geosocial: update: taxonomy count %q went negative", kind)
 		}
-		if c == 0 {
-			delete(res.Taxonomy, k)
-		}
-	}
-	for i := old; i < len(ss.Manifest.Shards); i++ {
-		if want := ss.Manifest.Shards[i].NewUsers; res.Shards[i].Users != want {
-			return nil, fmt.Errorf("geosocial: delta shard %s introduced %d new users, manifest says %d",
-				ss.Manifest.Shards[i].File, res.Shards[i].Users, want)
-		}
-	}
-	for i := range res.Shards {
-		res.Users += res.Shards[i].Users
-		res.Partition.Merge(res.Shards[i].Partition)
 	}
 	if res.Users != ss.Manifest.Users {
 		return nil, fmt.Errorf("geosocial: update: %d users after update, manifest says %d",
 			res.Users, ss.Manifest.Users)
-	}
-	if truth.Labeled() > 0 {
-		sc, err := truth.Score()
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		res.Truth = &sc
 	}
 	return res, nil
 }
