@@ -275,12 +275,12 @@ func TestServeResumesInterruptedJob(t *testing.T) {
 		PollInterval:      -1,
 		NoDiskCache:       true,
 		RetainCheckpoints: true,
-		Validate: func(path string, workers int, outcomeLog, ckDir string) (*core.StreamResult, error) {
-			if ckDir == "" {
+		Validate: func(req serve.Request) (*core.StreamResult, error) {
+			if req.CheckpointDir == "" {
 				t.Error("job ran without a checkpoint dir")
 			}
-			res, verr := ValidateFileOpts(path, StreamOptions{
-				Workers: 2, CheckpointDir: ckDir, Logger: logger,
+			res, verr := ValidateFileOpts(req.Path, StreamOptions{
+				Workers: 2, CheckpointDir: req.CheckpointDir, Logger: logger,
 			})
 			if attempts.Add(1) == 1 {
 				// Simulated crash after the engine checkpointed every

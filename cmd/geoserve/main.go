@@ -141,8 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MaxDiskCache:      *diskCacheMax,
 		Checkpoints:       *ckpts,
 		MaxCheckpointRuns: *ckptsMax,
-		CheckpointStale:   *ckptsStale,
-		Stream:            geosocial.StreamOptions{Workers: *workers, Logger: logger},
+		Stream:            geosocial.StreamOptions{Workers: *workers, CheckpointStale: *ckptsStale, Logger: logger},
 		Logger:            logger,
 	})
 	if err != nil {

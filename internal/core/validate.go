@@ -280,19 +280,6 @@ func (a *TruthAccum) AddCounts(c TruthCounts) {
 	a.honestTotal += c.HonestTotal
 }
 
-// SubtractCounts removes a snapshot's counts from the accumulator — the
-// inverse of AddCounts. Together they give truth scoring the same
-// subtract-then-add incremental shape as Partition: drop a superseded
-// user's labeled checkins, add the re-validated ones, and the final
-// Score is exactly what a cold run over the updated corpus computes.
-func (a *TruthAccum) SubtractCounts(c TruthCounts) {
-	a.labeled -= c.Labeled
-	a.agree -= c.Agree
-	a.matchedHonest -= c.MatchedHonest
-	a.matchedTotal -= c.MatchedTotal
-	a.honestTotal -= c.HonestTotal
-}
-
 // Merge adds b's counts into a. Like Partition.Merge it is associative
 // and commutative, so per-shard accumulators merged in any order score
 // exactly like one accumulator fed the concatenated users.

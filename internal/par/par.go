@@ -56,38 +56,6 @@ func SplitBudget(workers, branches int) int {
 	return (workers + branches - 1) / branches
 }
 
-// For runs f(i) for every i in [0, n) on the given number of workers and
-// returns when all calls have completed. Indices are claimed in increasing
-// order; f must not assume any particular completion order.
-func For(workers, n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ForErr runs f(i) for every i in [0, n) on the given number of workers.
 // When one or more calls fail, the error returned is the one at the lowest
 // index — exactly the error a serial loop would have returned — and items

@@ -45,11 +45,13 @@ func TestSplitBudget(t *testing.T) {
 	}
 }
 
-func TestForVisitsEveryIndexOnce(t *testing.T) {
+func TestForErrVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 33} {
 		for _, n := range []int{0, 1, 7, 100, 1000} {
 			counts := make([]atomic.Int64, max(n, 1))
-			For(workers, n, func(i int) { counts[i].Add(1) })
+			if err := ForErr(workers, n, func(i int) error { counts[i].Add(1); return nil }); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < n; i++ {
 				if got := counts[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
@@ -128,14 +130,10 @@ func TestMapErrorDiscardsResults(t *testing.T) {
 	}
 }
 
-func TestForZeroAndNegativeN(t *testing.T) {
-	called := false
-	For(4, 0, func(i int) { called = true })
-	For(4, -5, func(i int) { called = true })
-	if called {
-		t.Fatal("f called for non-positive n")
-	}
-	if err := ForErr(4, 0, func(i int) error { return errors.New("x") }); err != nil {
-		t.Fatalf("ForErr with n=0 returned %v", err)
+func TestForErrZeroAndNegativeN(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		if err := ForErr(4, n, func(i int) error { return errors.New("x") }); err != nil {
+			t.Fatalf("ForErr with n=%d returned %v", n, err)
+		}
 	}
 }

@@ -23,11 +23,11 @@ import (
 // asked for a log it writes a recognizable per-dataset document.
 func fakeValidateWithLog(calls *atomic.Int64) ValidateFunc {
 	inner := fakeValidate(calls)
-	return func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
-		res, err := inner(path, workers, outcomeLog, checkpointDir)
-		if err == nil && outcomeLog != "" {
-			data, _ := os.ReadFile(path)
-			if werr := os.WriteFile(outcomeLog, append([]byte("LOG:"), data...), 0o666); werr != nil {
+	return func(req Request) (*core.StreamResult, error) {
+		res, err := inner(req)
+		if err == nil && req.OutcomeLog != "" {
+			data, _ := os.ReadFile(req.Path)
+			if werr := os.WriteFile(req.OutcomeLog, append([]byte("LOG:"), data...), 0o666); werr != nil {
 				return nil, werr
 			}
 		}
@@ -367,48 +367,6 @@ func TestPrunedOutcomeLogRegenerates(t *testing.T) {
 	}
 	if _, err := os.Stat(logPath); err != nil {
 		t.Fatalf("log not regenerated: %v", err)
-	}
-}
-
-// TestLogIncapableValidatorNotRetried pins the regeneration guard's
-// other half: a ValidateFunc that ignores the outcome-log request
-// (permitted by its contract) must not cause endless revalidation of
-// already-done datasets just because their log is missing.
-func TestLogIncapableValidatorNotRetried(t *testing.T) {
-	spool := t.TempDir()
-	var calls atomic.Int64
-	s, err := New(Config{
-		SpoolDir:       spool,
-		Validate:       fakeValidate(&calls), // never writes a log
-		PollInterval:   -1,
-		RetainOutcomes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	info, err := s.Upload(strings.NewReader("no log ever"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info = waitDone(t, s, info.ID)
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1", calls.Load())
-	}
-	for i := 0; i < 3; i++ {
-		got, err := s.Add(filepath.Join(spool, "upload-"+info.ID+".dataset"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = waitDone(t, s, got.ID)
-		if got.Status != StatusDone {
-			t.Fatalf("re-add %d: %+v", i, got)
-		}
-	}
-	// The first validation already revealed the validator produces no
-	// log, so no re-add triggers a regeneration attempt.
-	if calls.Load() != 1 {
-		t.Fatalf("calls after re-adds = %d, want 1 (log-incapable validator latched)", calls.Load())
 	}
 }
 

@@ -4,9 +4,9 @@ package serve
 // which validation path runs for an appended dataset, how the new job
 // relates to the old one, and how the HTTP surface exposes both. The
 // byte-identity of incremental and full validation is the engine's
-// contract, pinned end-to-end in the root package's tests; here
-// Validate and Update are injected fakes so the scheduling itself is
-// observable.
+// contract, pinned end-to-end in the root package's tests; here the
+// ValidateFunc is an injected fake that records every Request, so the
+// scheduling itself is observable.
 
 import (
 	"bytes"
@@ -77,41 +77,71 @@ func freshUser(ds *trace.Dataset) *trace.User {
 // on disk.
 func loggingValidate(t *testing.T, calls *atomic.Int64) ValidateFunc {
 	inner := fakeValidate(calls)
-	return func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
-		if outcomeLog != "" {
-			if err := os.WriteFile(outcomeLog, []byte("LOG"), 0o666); err != nil {
+	return func(req Request) (*core.StreamResult, error) {
+		if req.OutcomeLog != "" {
+			if err := os.WriteFile(req.OutcomeLog, []byte("LOG"), 0o666); err != nil {
 				t.Error(err)
 			}
 		}
-		return inner(path, workers, outcomeLog, checkpointDir)
+		return inner(req)
 	}
+}
+
+// withUpdate answers full requests through full and incremental ones
+// (Request.Prev set) through update, counting the incremental calls.
+func withUpdate(full ValidateFunc, updates *atomic.Int64, update ValidateFunc) ValidateFunc {
+	return func(req Request) (*core.StreamResult, error) {
+		if req.Prev == nil {
+			return full(req)
+		}
+		updates.Add(1)
+		return update(req)
+	}
+}
+
+// fakeUpdate is an incremental validation that succeeds: it writes the
+// new log and derives the result from Request.Prev.
+func fakeUpdate(t *testing.T) ValidateFunc {
+	return func(req Request) (*core.StreamResult, error) {
+		if req.OutcomeLog != "" {
+			if err := os.WriteFile(req.OutcomeLog, []byte("LOG2"), 0o666); err != nil {
+				t.Error(err)
+			}
+		}
+		return &core.StreamResult{Name: "fake", Users: req.Prev.Users + 1, Taxonomy: map[string]int{}}, nil
+	}
+}
+
+// recordRequests wraps v so every Request it receives is kept, in call
+// order, for the test to inspect.
+func recordRequests(v ValidateFunc) (ValidateFunc, func() []Request) {
+	var mu sync.Mutex
+	var reqs []Request
+	record := func(req Request) (*core.StreamResult, error) {
+		mu.Lock()
+		reqs = append(reqs, req)
+		mu.Unlock()
+		return v(req)
+	}
+	recorded := func() []Request {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Request(nil), reqs...)
+	}
+	return record, recorded
 }
 
 // TestAppendRunsIncrementalUpdate: appending to a done shard-set job
 // registers a new job under the grown corpus's checksum, and — with the
-// previous result cached and its outcome log retained — that job runs
-// through Config.Update, not Validate. The old job keeps serving the
-// superseded generation.
+// previous result cached and its outcome log retained — that job's
+// request carries the previous generation in Request.Prev and PrevLog.
+// The old job keeps serving the superseded generation.
 func TestAppendRunsIncrementalUpdate(t *testing.T) {
 	var calls, updates atomic.Int64
+	var requests func() []Request
 	s := newTestServer(t, &calls, func(c *Config) {
 		c.RetainOutcomes = true
-		c.Validate = loggingValidate(t, &calls)
-		c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
-			updates.Add(1)
-			if prev == nil {
-				t.Error("update ran without the previous result")
-			}
-			if _, err := os.Stat(prevLog); err != nil {
-				t.Errorf("update ran without the previous log: %v", err)
-			}
-			if outcomeLog != "" {
-				if err := os.WriteFile(outcomeLog, []byte("LOG2"), 0o666); err != nil {
-					t.Error(err)
-				}
-			}
-			return &core.StreamResult{Name: "fake", Users: prev.Users + 1, Taxonomy: map[string]int{}}, nil
-		}
+		c.Validate, requests = recordRequests(withUpdate(loggingValidate(t, &calls), &updates, fakeUpdate(t)))
 	})
 	ds, manifest := spoolShardSet(t, s)
 	info, err := s.Add(manifest)
@@ -134,8 +164,18 @@ func TestAppendRunsIncrementalUpdate(t *testing.T) {
 	if grown.Status != StatusDone {
 		t.Fatalf("grown job: %+v", grown)
 	}
-	if updates.Load() != 1 {
-		t.Fatalf("want exactly 1 incremental update, got %d (validations: %d)", updates.Load(), calls.Load())
+	if updates.Load() != 1 || calls.Load() != 1 {
+		t.Fatalf("want 1 full validation then 1 incremental update, got %d and %d", calls.Load(), updates.Load())
+	}
+	reqs := requests()
+	if len(reqs) != 2 || reqs[0].Prev != nil {
+		t.Fatalf("requests: %+v", reqs)
+	}
+	if prev := reqs[1].Prev; prev == nil || prev.Users != info.Users {
+		t.Fatalf("grown job's request does not carry the previous result: %+v", reqs[1])
+	}
+	if _, err := os.Stat(reqs[1].PrevLog); err != nil {
+		t.Fatalf("grown job's request does not carry the previous log: %v", err)
 	}
 	if n := metric(t, s, "geoserve_incremental_updates_total"); n != 1 {
 		t.Fatalf("metrics missed the update: geoserve_incremental_updates_total = %v", n)
@@ -231,18 +271,18 @@ func TestConcurrentAppendsSerialize(t *testing.T) {
 }
 
 // TestAppendFallsBackToFullValidation covers both degraded paths: with
-// no retained outcome log the incremental inputs are unavailable and
-// Update must not run at all; with inputs available but Update failing,
-// the full Validate decides and the job still completes.
+// no retained outcome log the incremental inputs are unavailable and no
+// request carries Request.Prev; with inputs available but the
+// incremental request failing, one retry without Prev (and with the
+// checkpoint dir) decides and the job still completes.
 func TestAppendFallsBackToFullValidation(t *testing.T) {
 	t.Run("no inputs", func(t *testing.T) {
 		var calls, updates atomic.Int64
 		s := newTestServer(t, &calls, func(c *Config) {
 			// RetainOutcomes off: no previous log can exist.
-			c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
-				updates.Add(1)
+			c.Validate = withUpdate(fakeValidate(&calls), &updates, func(Request) (*core.StreamResult, error) {
 				return nil, errors.New("must not run")
-			}
+			})
 		})
 		ds, manifest := spoolShardSet(t, s)
 		info, err := s.Add(manifest)
@@ -259,7 +299,7 @@ func TestAppendFallsBackToFullValidation(t *testing.T) {
 			t.Fatalf("grown job: %+v", grown)
 		}
 		if updates.Load() != 0 {
-			t.Fatalf("update ran without its inputs (%d times)", updates.Load())
+			t.Fatalf("%d requests carried Prev without its inputs", updates.Load())
 		}
 		if calls.Load() != 2 {
 			t.Fatalf("want 2 full validations (base + grown), got %d", calls.Load())
@@ -267,13 +307,14 @@ func TestAppendFallsBackToFullValidation(t *testing.T) {
 	})
 	t.Run("update fails", func(t *testing.T) {
 		var calls, updates atomic.Int64
+		var requests func() []Request
 		s := newTestServer(t, &calls, func(c *Config) {
 			c.RetainOutcomes = true
-			c.Validate = loggingValidate(t, &calls)
-			c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
-				updates.Add(1)
-				return nil, errors.New("synthetic update failure")
-			}
+			c.RetainCheckpoints = true
+			c.Validate, requests = recordRequests(withUpdate(loggingValidate(t, &calls), &updates,
+				func(Request) (*core.StreamResult, error) {
+					return nil, errors.New("synthetic update failure")
+				}))
 		})
 		ds, manifest := spoolShardSet(t, s)
 		info, err := s.Add(manifest)
@@ -292,6 +333,16 @@ func TestAppendFallsBackToFullValidation(t *testing.T) {
 		if updates.Load() != 1 || calls.Load() != 2 {
 			t.Fatalf("want 1 failed update then a full validation: updates=%d calls=%d",
 				updates.Load(), calls.Load())
+		}
+		reqs := requests()
+		if len(reqs) != 3 {
+			t.Fatalf("want 3 requests (base, incremental, retry), got %d", len(reqs))
+		}
+		if first := reqs[1]; first.Prev == nil || first.PrevLog == "" {
+			t.Fatalf("grown job's first request carries no previous generation: %+v", first)
+		}
+		if retry := reqs[2]; retry.Prev != nil || retry.PrevLog != "" || retry.CheckpointDir == "" || retry.Path != reqs[1].Path {
+			t.Fatalf("retry is not a full request with the checkpoint dir: %+v", retry)
 		}
 		if n := metric(t, s, "geoserve_incremental_updates_total"); n != 0 {
 			t.Fatalf("failed update counted as incremental: geoserve_incremental_updates_total = %v", n)
@@ -347,14 +398,7 @@ func TestHTTPAppend(t *testing.T) {
 	var calls, updates atomic.Int64
 	s := newTestServer(t, &calls, func(c *Config) {
 		c.RetainOutcomes = true
-		c.Validate = loggingValidate(t, &calls)
-		c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
-			updates.Add(1)
-			if outcomeLog != "" {
-				os.WriteFile(outcomeLog, []byte("LOG2"), 0o666)
-			}
-			return &core.StreamResult{Name: "fake", Users: prev.Users + 1, Taxonomy: map[string]int{}}, nil
-		}
+		c.Validate = withUpdate(loggingValidate(t, &calls), &updates, fakeUpdate(t))
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

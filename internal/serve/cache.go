@@ -187,7 +187,7 @@ func (c *resultCache) Put(key string, val []byte) {
 		prune := c.maxDiskEntries > 0 && c.diskCount > c.maxDiskEntries
 		c.mu.Unlock()
 		if prune {
-			n := pruneDir(c.dir, ".json", c.maxDiskEntries)
+			n := pruneOldest(c.dir, c.maxDiskEntries, fileWithSuffix(".json"))
 			c.mu.Lock()
 			c.diskCount = n
 			c.mu.Unlock()
@@ -195,13 +195,14 @@ func (c *resultCache) Put(key string, val []byte) {
 	}
 }
 
-// pruneDir bounds a persisted tier: when dir holds more than max files
-// with the given suffix, the oldest (by mtime) are removed; the
+// pruneOldest bounds a persisted tier: when dir holds more than max
+// entries matching keep, the oldest (by mtime) are removed whole; the
 // remaining count is returned. max <= 0 disables pruning. Pruned
 // entries are recomputable — cache entries revalidate from the spool,
-// outcome logs regenerate on revalidation — so pruning trades
+// outcome logs regenerate on revalidation, a checkpoint run directory
+// only costs its interrupted run's partial progress — so pruning trades
 // recomputation for disk, never correctness.
-func pruneDir(dir, suffix string, max int) int {
+func pruneOldest(dir string, max int, keep func(os.DirEntry) bool) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
@@ -210,67 +211,33 @@ func pruneDir(dir, suffix string, max int) int {
 		path  string
 		mtime time.Time
 	}
-	var files []aged
+	var found []aged
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
+		if !keep(e) {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, aged{filepath.Join(dir, e.Name()), info.ModTime()})
+		found = append(found, aged{filepath.Join(dir, e.Name()), info.ModTime()})
 	}
-	if max <= 0 || len(files) <= max {
-		return len(files)
+	if max <= 0 || len(found) <= max {
+		return len(found)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
 	removed := 0
-	for _, f := range files[:len(files)-max] {
-		if os.Remove(f.path) == nil {
+	for _, f := range found[:len(found)-max] {
+		if os.RemoveAll(f.path) == nil {
 			removed++
 		}
 	}
-	return len(files) - removed
+	return len(found) - removed
 }
 
-// pruneSubdirs is pruneDir for directory-valued entries (checkpoint
-// run directories): when dir holds more than max subdirectories, the
-// oldest (by mtime) are removed whole; the remaining count is
-// returned. max <= 0 disables pruning. A pruned run directory only
-// costs the interrupted run's partial progress — the next validation
-// starts from scratch, never produces a wrong result.
-func pruneSubdirs(dir string, max int) int {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	type aged struct {
-		path  string
-		mtime time.Time
-	}
-	var dirs []aged
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		dirs = append(dirs, aged{filepath.Join(dir, e.Name()), info.ModTime()})
-	}
-	if max <= 0 || len(dirs) <= max {
-		return len(dirs)
-	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].mtime.Before(dirs[j].mtime) })
-	removed := 0
-	for _, d := range dirs[:len(dirs)-max] {
-		if os.RemoveAll(d.path) == nil {
-			removed++
-		}
-	}
-	return len(dirs) - removed
+// fileWithSuffix selects the regular entries whose name ends in suffix.
+func fileWithSuffix(suffix string) func(os.DirEntry) bool {
+	return func(e os.DirEntry) bool { return !e.IsDir() && strings.HasSuffix(e.Name(), suffix) }
 }
 
 // Delete drops key from both tiers. Consumers call it when cached

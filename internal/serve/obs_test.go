@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,23 +73,13 @@ func TestMetricsBackCompat(t *testing.T) {
 	var calls, updates, users atomic.Int64
 	s := newTestServer(t, &calls, func(c *Config) {
 		c.RetainOutcomes = true
-		validate := loggingValidate(t, &calls)
-		c.Validate = func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
-			res, err := validate(path, workers, outcomeLog, checkpointDir)
+		validate := withUpdate(loggingValidate(t, &calls), &updates, fakeUpdate(t))
+		c.Validate = func(req Request) (*core.StreamResult, error) {
+			res, err := validate(req)
 			if err == nil {
 				users.Add(int64(res.Users))
 			}
 			return res, err
-		}
-		c.Update = func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error) {
-			updates.Add(1)
-			if outcomeLog != "" {
-				if err := os.WriteFile(outcomeLog, []byte("LOG2"), 0o666); err != nil {
-					t.Error(err)
-				}
-			}
-			users.Add(int64(prev.Users + 1))
-			return &core.StreamResult{Name: "fake", Users: prev.Users + 1, Taxonomy: map[string]int{}}, nil
 		}
 	})
 	ts := httptest.NewServer(s)

@@ -6,7 +6,8 @@
 // for dataset files — JSON, binary GSB1, or shard-set manifests — and
 // validates each one through an injected ValidateFunc, which the
 // geosocial facade wires to the same streaming engine geovalidate uses
-// (geosocial.ValidateFileOpts on the par worker pool).
+// (geosocial.ValidateFileOpts, or UpdateValidation for an appended
+// dataset whose previous generation is at hand).
 // Because the service and the CLI share one engine and validation is
 // deterministic for any worker count, serving a dataset yields results
 // byte-identical to running geovalidate on the same file.
@@ -20,10 +21,9 @@
 // computed responses byte-comparable.
 //
 // Concurrency model: every dataset becomes a job; at most
-// Config.MaxJobs validations run at once (each using Config.Workers
-// pipeline workers), later jobs queue on a semaphore, and Close drains
-// running jobs before returning. The HTTP API is documented in
-// docs/API.md and served by Server.ServeHTTP.
+// Config.MaxJobs validations run at once, later jobs queue on a
+// semaphore, and Close drains running jobs before returning. The HTTP
+// API is documented in docs/API.md and served by Server.ServeHTTP.
 package serve
 
 import (
@@ -49,28 +49,34 @@ import (
 // ErrClosed is returned by Add and Upload once Close has begun.
 var ErrClosed = errors.New("serve: server is closed")
 
-// ValidateFunc validates one dataset path (a plain file, a shard-set
-// manifest, or a directory holding one) with the given worker count.
-// When outcomeLog is non-empty the validation must additionally write a
-// GSO1 outcome log there (implementations that cannot may ignore it —
-// the analysis endpoints then report the log as unavailable). When
-// checkpointDir is non-empty the validation should persist per-shard
-// checkpoints there and resume from any it finds, so a job interrupted
-// by a crash or restart re-runs only its unfinished shards
-// (implementations that cannot may ignore it — checkpointing is an
-// optimization, never a correctness requirement). The geosocial facade
-// supplies the canonical implementation; tests may inject fakes. It
-// must be safe for concurrent calls.
-type ValidateFunc func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error)
+// Request is one validation job handed to the ValidateFunc.
+type Request struct {
+	// Path is the dataset: a plain file, a shard-set manifest, or a
+	// directory holding one.
+	Path string
+	// OutcomeLog, when non-empty, is where the validation must write a
+	// GSO1 outcome log; a validation that cannot must fail.
+	OutcomeLog string
+	// CheckpointDir, when non-empty, is where the validation should
+	// persist per-shard checkpoints and resume from any it finds, so a
+	// job interrupted by a crash or restart re-runs only its unfinished
+	// shards. Checkpointing is an optimization, never a correctness
+	// requirement, so an implementation may ignore it.
+	CheckpointDir string
+	// Prev, when non-nil, is the result of validating an appended shard
+	// set at its previous generation and PrevLog the outcome log that
+	// run wrote. The validation may then update Prev incrementally; the
+	// result and log must be byte-identical to a full validation of
+	// Path.
+	Prev    *core.StreamResult
+	PrevLog string
+}
 
-// UpdateFunc incrementally revalidates an appended shard set: prev is
-// the result of validating the set at its previous generation and
-// prevLog the GSO1 outcome log that run wrote. The implementation must
-// return a result — and, when outcomeLog is non-empty, write a log —
-// byte-identical to a full ValidateFunc run on the same path. The
-// geosocial facade wires it to UpdateValidation. It must be safe for
-// concurrent calls.
-type UpdateFunc func(path string, prev *core.StreamResult, prevLog string, workers int, outcomeLog string) (*core.StreamResult, error)
+// ValidateFunc validates one dataset. The geosocial facade supplies the
+// canonical implementation (UpdateValidation when Prev is set,
+// ValidateFileOpts otherwise); tests may inject fakes. It must be safe
+// for concurrent calls.
+type ValidateFunc func(Request) (*core.StreamResult, error)
 
 // AnalyzeFunc runs one analysis kind over an outcome log and returns
 // the presentation-encoded JSON document to serve and cache. The
@@ -85,31 +91,21 @@ type Config struct {
 	// here too, so a restarted server rediscovers everything it has ever
 	// accepted. Created if missing.
 	SpoolDir string
-	// Validate runs one validation (required; see ValidateFunc).
+	// Validate runs every validation, full or incremental (required;
+	// see ValidateFunc and Request).
 	Validate ValidateFunc
-	// Update runs one incremental revalidation of an appended dataset
-	// (see UpdateFunc). Optional: without it — or whenever the previous
-	// generation's result or outcome log is no longer available — an
-	// appended dataset is revalidated in full through Validate, which is
-	// always correct, only slower.
-	Update UpdateFunc
-	// Workers is the per-job pipeline worker count passed to Validate
-	// (<= 0 selects GOMAXPROCS, exactly as everywhere else).
-	Workers int
 	// MaxJobs caps concurrent validations; further jobs queue in
 	// arrival order. <= 0 selects 2.
 	MaxJobs int
 	// CacheCapacity is the LRU result-cache size in entries; <= 0
 	// selects 64.
 	CacheCapacity int
-	// CacheDir is the disk tier of the result cache: every result (and
-	// analysis document) is persisted there content-addressed by
-	// checksum and lazily reloaded after a restart, so identical bytes
-	// are never revalidated across server lifetimes. Empty selects
-	// "cache" under the spool; NoDiskCache disables the tier.
-	CacheDir string
 	// NoDiskCache keeps the result cache memory-only (evicted results
-	// then revalidate from the spool).
+	// then revalidate from the spool). By default every result (and
+	// analysis document) is also persisted under "cache" in the spool,
+	// content-addressed by checksum and lazily reloaded after a
+	// restart, so identical bytes are never revalidated across server
+	// lifetimes.
 	NoDiskCache bool
 	// ParamsTag fingerprints the validation configuration. The
 	// persisted tiers (disk cache, outcome logs) are namespaced by it,
@@ -217,14 +213,9 @@ type JobInfo struct {
 type job struct {
 	info JobInfo
 	done chan struct{}
-	// noLog records that a completed validation was asked for an
-	// outcome log and produced none — the injected ValidateFunc is not
-	// log-capable (its doc contract permits ignoring the parameter), so
-	// a missing log must not trigger regeneration attempts forever.
-	noLog bool
 	// appendFrom, when non-empty, is the dataset ID this job's manifest
-	// was appended from: runJob may then revalidate incrementally via
-	// Config.Update, reusing that job's cached result and outcome log.
+	// was appended from: runJob then hands that job's cached result and
+	// outcome log to the validation as Request.Prev/PrevLog.
 	appendFrom string
 }
 
@@ -309,10 +300,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	cacheDir := ""
 	if !cfg.NoDiskCache {
-		cacheDir = cfg.CacheDir
-		if cacheDir == "" {
-			cacheDir = filepath.Join(cfg.SpoolDir, "cache")
-		}
+		cacheDir = filepath.Join(cfg.SpoolDir, "cache")
 		if cfg.ParamsTag != "" {
 			cacheDir = filepath.Join(cacheDir, cfg.ParamsTag)
 		}
@@ -460,10 +448,10 @@ func (s *Server) Add(path string) (JobInfo, error) {
 // the stream becomes the manifest's next generation on disk (a new
 // delta shard; the base shards are untouched), and the grown corpus is
 // registered as a new job under its new checksum. The new job carries
-// the old dataset's ID, so its validation can run incrementally via
-// Config.Update when the old result and outcome log are still
-// available; the old job keeps serving the superseded generation's
-// (cached) result. Nothing on disk changes when the append fails.
+// the old dataset's ID, so its validation can run incrementally when
+// the old result and outcome log are still available; the old job
+// keeps serving the superseded generation's (cached) result. Nothing on
+// disk changes when the append fails.
 func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -494,10 +482,7 @@ func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 	lock := s.appendLock(path)
 	lock.Lock()
 	defer lock.Unlock()
-	var t0 time.Time
-	if s.spanAppend != nil {
-		t0 = time.Now()
-	}
+	t0 := s.spanAppend.Start()
 	aw, err := trace.OpenAppend(path)
 	if err != nil {
 		return JobInfo{}, fmt.Errorf("serve: append: %w", err)
@@ -509,9 +494,7 @@ func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 		return JobInfo{}, fmt.Errorf("serve: append: %w", err)
 	}
 	sum, err := DatasetChecksum(path)
-	if s.spanAppend != nil {
-		s.spanAppend.Observe(1, time.Since(t0))
-	}
+	s.spanAppend.Stop(t0, 1)
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -574,10 +557,8 @@ func (s *Server) register(path, sum, appendFrom string) (JobInfo, error) {
 		// A failed job is not a permanent verdict on the checksum:
 		// failures can be transient (I/O, a file caught mid-copy), so an
 		// explicit re-add or re-upload of the same bytes retries. A done
-		// job whose outcome log was pruned revalidates the same way —
-		// unless a previous validation already showed the validator
-		// produces no log, in which case revalidating cannot help.
-		if j.info.Status == StatusFailed || (j.info.Status == StatusDone && logMissing && !j.noLog) {
+		// job whose outcome log was pruned revalidates the same way.
+		if j.info.Status == StatusFailed || (j.info.Status == StatusDone && logMissing) {
 			reason := "retrying failed validation"
 			if j.info.Status == StatusDone {
 				reason = "outcome log pruned, revalidating"
@@ -641,37 +622,22 @@ func (s *Server) register(path, sum, appendFrom string) (JobInfo, error) {
 // traffic per operation. A nil cell costs nothing — not even a clock
 // read.
 func (s *Server) cacheGet(key string) ([]byte, bool) {
-	var t0 time.Time
-	if s.spanCacheGet != nil {
-		t0 = time.Now()
-	}
+	t0 := s.spanCacheGet.Start()
 	data, hit := s.cache.Get(key)
-	if s.spanCacheGet != nil {
-		s.spanCacheGet.Observe(1, time.Since(t0))
-	}
+	s.spanCacheGet.Stop(t0, 1)
 	return data, hit
 }
 
 func (s *Server) cachePut(key string, data []byte) {
-	var t0 time.Time
-	if s.spanCachePut != nil {
-		t0 = time.Now()
-	}
+	t0 := s.spanCachePut.Start()
 	s.cache.Put(key, data)
-	if s.spanCachePut != nil {
-		s.spanCachePut.Observe(1, time.Since(t0))
-	}
+	s.spanCachePut.Stop(t0, 1)
 }
 
 func (s *Server) cachePeek(key string) ([]byte, bool) {
-	var t0 time.Time
-	if s.spanCachePeek != nil {
-		t0 = time.Now()
-	}
+	t0 := s.spanCachePeek.Start()
 	data, hit := s.cache.Peek(key)
-	if s.spanCachePeek != nil {
-		s.spanCachePeek.Observe(1, time.Since(t0))
-	}
+	s.spanCachePeek.Stop(t0, 1)
 	return data, hit
 }
 
@@ -707,10 +673,10 @@ func (s *Server) enqueueLocked(j *job, path string) {
 	}()
 }
 
-// runJob executes one validation — incrementally via Config.Update for
-// an appended dataset whose previous generation's result and outcome
-// log are still at hand, in full otherwise — and publishes the result
-// to the cache and the job record.
+// runJob executes one validation — incrementally for an appended
+// dataset whose previous generation's result and outcome log are still
+// at hand, in full otherwise — and publishes the result to the cache
+// and the job record.
 func (s *Server) runJob(j *job, path string) {
 	s.mu.Lock()
 	j.info.Status = StatusRunning
@@ -718,26 +684,19 @@ func (s *Server) runJob(j *job, path string) {
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	logPath := s.outcomePath(j.info.ID)
 	ckDir := s.checkpointPath(j.info.ID)
-	var res *core.StreamResult
-	var err error
-	updated := false
-	if appendFrom != "" && s.cfg.Update != nil {
-		if prev, prevLog, ok := s.previousRun(appendFrom); ok {
-			if res, err = s.cfg.Update(path, prev, prevLog, s.cfg.Workers, logPath); err == nil {
-				updated = true
-			} else {
-				// An incremental failure is not a verdict on the dataset
-				// (the previous log may be stale or torn); the full path
-				// decides.
-				s.cfg.Logger.Printf("serve: %s: incremental update failed (%v), revalidating in full", j.info.Path, err)
-				res, err = nil, nil
-			}
-		}
+	req := Request{Path: path, OutcomeLog: s.outcomePath(j.info.ID), CheckpointDir: ckDir}
+	if appendFrom != "" {
+		req.Prev, req.PrevLog = s.previousRun(appendFrom)
 	}
-	if !updated {
-		res, err = s.cfg.Validate(path, s.cfg.Workers, logPath, ckDir)
+	res, err := s.cfg.Validate(req)
+	updated := req.Prev != nil && err == nil
+	if err != nil && req.Prev != nil {
+		// An incremental failure is not a verdict on the dataset (the
+		// previous log may be stale or torn); the full path decides.
+		s.cfg.Logger.Printf("serve: %s: incremental update failed (%v), revalidating in full", j.info.Path, err)
+		req.Prev, req.PrevLog = nil, ""
+		res, err = s.cfg.Validate(req)
 	}
 	elapsed := time.Since(t0)
 
@@ -749,14 +708,7 @@ func (s *Server) runJob(j *job, path string) {
 		} else if s.cfg.MaxCheckpointRuns > 0 {
 			// The run's progress stays for the retry, but the tier as a
 			// whole is bounded: oldest interrupted runs go first.
-			pruneSubdirs(s.checkpointsDir, s.cfg.MaxCheckpointRuns)
-		}
-	}
-
-	noLog := false
-	if err == nil && logPath != "" {
-		if _, serr := os.Stat(logPath); serr != nil {
-			noLog = true // the validator ignored the outcome-log request
+			pruneOldest(s.checkpointsDir, s.cfg.MaxCheckpointRuns, os.DirEntry.IsDir)
 		}
 	}
 
@@ -785,13 +737,13 @@ func (s *Server) runJob(j *job, path string) {
 		// taking s.mu: by the time the job flips to done, the result is
 		// fetchable, and the file write never blocks other handlers.
 		s.cachePut(j.info.ID, encoded)
-		if s.outcomesDir != "" && !noLog {
+		if s.outcomesDir != "" {
 			s.outcomeLogs.Lock()
 			s.outcomeLogs.count++
 			prune := s.cfg.MaxOutcomeLogs > 0 && s.outcomeLogs.count > s.cfg.MaxOutcomeLogs
 			s.outcomeLogs.Unlock()
 			if prune {
-				n := pruneDir(s.outcomesDir, ".gso", s.cfg.MaxOutcomeLogs)
+				n := pruneOldest(s.outcomesDir, s.cfg.MaxOutcomeLogs, fileWithSuffix(".gso"))
 				s.outcomeLogs.Lock()
 				s.outcomeLogs.count = n
 				s.outcomeLogs.Unlock()
@@ -808,7 +760,6 @@ func (s *Server) runJob(j *job, path string) {
 	} else {
 		j.info.Status = StatusDone
 		j.info.Users = res.Users
-		j.noLog = noLog
 		s.cfg.Logger.Printf("serve: %s: validated %d users in %v (%s)",
 			j.info.Path, res.Users, elapsed.Round(time.Millisecond), shortID(j.info.ID))
 	}
@@ -817,29 +768,29 @@ func (s *Server) runJob(j *job, path string) {
 }
 
 // previousRun fetches the decoded result and retained outcome log of a
-// completed dataset job — the inputs the incremental update path needs.
-// ok is false when either is gone (evicted and pruned, or retention is
-// off); the caller then falls back to a full validation.
-func (s *Server) previousRun(id string) (prev *core.StreamResult, prevLog string, ok bool) {
+// completed dataset job — the inputs of an incremental update. prev is
+// nil when either is gone (evicted and pruned, or retention is off);
+// the job then validates in full.
+func (s *Server) previousRun(id string) (prev *core.StreamResult, prevLog string) {
 	prevLog = s.outcomePath(id)
 	if prevLog == "" {
-		return nil, "", false
+		return nil, ""
 	}
 	if _, err := os.Stat(prevLog); err != nil {
-		return nil, "", false
+		return nil, ""
 	}
 	// Peek, not Get: this lookup is the server talking to itself, so it
 	// must not inflate the client-facing hit counters or reorder the
 	// LRU.
 	data, hit := s.cachePeek(id)
 	if !hit {
-		return nil, "", false
+		return nil, ""
 	}
 	prev, err := core.DecodeStreamResult(data)
 	if err != nil {
-		return nil, "", false
+		return nil, ""
 	}
-	return prev, prevLog, true
+	return prev, prevLog
 }
 
 // outcomePath is the content-addressed outcome-log location for a

@@ -27,9 +27,9 @@ import (
 // ones — enough to exercise caching without the real pipeline. Files
 // whose content starts with "FAIL" fail validation.
 func fakeValidate(calls *atomic.Int64) ValidateFunc {
-	return func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
+	return func(req Request) (*core.StreamResult, error) {
 		calls.Add(1)
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(req.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +40,7 @@ func fakeValidate(calls *atomic.Int64) ValidateFunc {
 			Name:      "fake",
 			Users:     len(data),
 			Partition: core.Partition{Checkins: len(data), Honest: 1},
-			Taxonomy:  map[string]int{"honest": 1, "workers": workers},
+			Taxonomy:  map[string]int{"honest": 1},
 		}, nil
 	}
 }
@@ -191,12 +191,12 @@ func TestFailedJobRetriesOnReupload(t *testing.T) {
 	failing.Store(true)
 	s := newTestServer(t, &calls, func(c *Config) {
 		inner := fakeValidate(&calls)
-		c.Validate = func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
+		c.Validate = func(req Request) (*core.StreamResult, error) {
 			if failing.Load() {
 				calls.Add(1)
 				return nil, errors.New("transient failure")
 			}
-			return inner(path, workers, outcomeLog, checkpointDir)
+			return inner(req)
 		}
 	})
 
@@ -574,19 +574,19 @@ func TestCheckpointRunDirLifecycle(t *testing.T) {
 		c.RetainCheckpoints = true
 		c.MaxCheckpointRuns = 1
 		inner := fakeValidate(&calls)
-		c.Validate = func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
-			if checkpointDir == "" {
+		c.Validate = func(req Request) (*core.StreamResult, error) {
+			if req.CheckpointDir == "" {
 				t.Error("job ran without a checkpoint dir")
 			} else {
 				// Simulate the engine leaving a fragment behind.
-				if err := os.MkdirAll(checkpointDir, 0o777); err != nil {
+				if err := os.MkdirAll(req.CheckpointDir, 0o777); err != nil {
 					t.Error(err)
 				}
-				if err := os.WriteFile(filepath.Join(checkpointDir, "ckpt-x.gsf"), []byte("frag"), 0o666); err != nil {
+				if err := os.WriteFile(filepath.Join(req.CheckpointDir, "ckpt-x.gsf"), []byte("frag"), 0o666); err != nil {
 					t.Error(err)
 				}
 			}
-			return inner(path, workers, outcomeLog, checkpointDir)
+			return inner(req)
 		}
 	})
 
@@ -733,7 +733,7 @@ func TestCloseLeavesQueuedJobsPending(t *testing.T) {
 	started := make(chan struct{}, 8)
 	s := newTestServer(t, &calls, func(c *Config) {
 		c.MaxJobs = 1
-		c.Validate = func(path string, workers int, outcomeLog, checkpointDir string) (*core.StreamResult, error) {
+		c.Validate = func(Request) (*core.StreamResult, error) {
 			started <- struct{}{}
 			<-release
 			return &core.StreamResult{Name: "slow", Users: 1, Taxonomy: map[string]int{}}, nil

@@ -13,11 +13,10 @@ import (
 
 // This file is the differential oracle for segmentation: a stay-point
 // detector written straight from the definition — geo.Distance for every
-// roam check, a brute-force nearest POI over the whole table, no
-// Segmenter, no grid, no certified bounds — compared visit by visit with
-// Detect and with chunked Segmenter feeds, on randomized traces in
-// several cities and on adversarial cases placed exactly at the
-// thresholds.
+// roam check, a brute-force nearest POI over the whole table, no grid,
+// no certified bounds — compared visit by visit with Detect, on
+// randomized traces in several cities and on adversarial cases placed
+// exactly at the thresholds.
 
 // naiveDetect scans forward from each anchor fix, extending the window
 // while the next fix follows within MaxGap and lies within RoamRadius of
@@ -77,9 +76,8 @@ func sameVisits(t *testing.T, label string, got, want []trace.Visit) {
 	}
 }
 
-// checkOracle compares Detect, and the Segmenter fed in chunks, with the
-// oracle on one trace.
-func checkOracle(t *testing.T, label string, tr trace.GPSTrace, cfg Config, pois []poi.POI, chunks ...int) {
+// checkOracle compares Detect with the oracle on one trace.
+func checkOracle(t *testing.T, label string, tr trace.GPSTrace, cfg Config, pois []poi.POI) {
 	t.Helper()
 	var db *poi.DB
 	if pois != nil {
@@ -88,27 +86,11 @@ func checkOracle(t *testing.T, label string, tr trace.GPSTrace, cfg Config, pois
 			t.Fatal(err)
 		}
 	}
-	want := naiveDetect(tr, cfg, pois)
 	got, err := Detect(tr, cfg, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameVisits(t, label, got, want)
-	for _, chunk := range chunks {
-		s, err := NewSegmenter(cfg, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []trace.Visit
-		for i := 0; i < len(tr); i += chunk {
-			vs, err := s.Feed(tr[i:min(i+chunk, len(tr))])
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, vs...)
-		}
-		sameVisits(t, label+" chunked", append(out, s.Finish()...), want)
-	}
+	sameVisits(t, label, got, naiveDetect(tr, cfg, pois))
 }
 
 // onE7 rounds a point to the codec's E7 grid, as decoded traces are.
@@ -173,7 +155,7 @@ func TestDetectMatchesOracleRandom(t *testing.T) {
 		pois := cityPOIs(s, c.center, 300)
 		for trial := 0; trial < 12; trial++ {
 			tr := cityTrace(s, c.center, 400)
-			checkOracle(t, c.name, tr, cfg, pois, 1, 7, 64)
+			checkOracle(t, c.name, tr, cfg, pois)
 		}
 	}
 }
@@ -188,7 +170,7 @@ func TestDetectMatchesOracleNearAntimeridian(t *testing.T) {
 		{ID: 2, Category: poi.Arts, Loc: geo.LatLon{Lat: -16.81, Lon: -179.95}},
 	}
 	tr := stationary(nil, stay, 0, 10)
-	checkOracle(t, "cross-line", tr, DefaultConfig(), pois, 3)
+	checkOracle(t, "cross-line", tr, DefaultConfig(), pois)
 	vs, err := Detect(tr, DefaultConfig(), mustDB(t, pois))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +206,7 @@ func TestDetectMatchesOracleAtRoamRadius(t *testing.T) {
 		for _, r := range ulps(geo.Distance(anchor, edge)) {
 			cfg := DefaultConfig()
 			cfg.RoamRadius = r
-			checkOracle(t, "roam", tr, cfg, nil, 1, 4)
+			checkOracle(t, "roam", tr, cfg, nil)
 		}
 	}
 }
@@ -245,7 +227,7 @@ func TestDetectMatchesOracleAtSnapRadius(t *testing.T) {
 		for _, r := range ulps(d) {
 			cfg := DefaultConfig()
 			cfg.SnapRadius = r
-			checkOracle(t, "snap", tr, cfg, pois, 3)
+			checkOracle(t, "snap", tr, cfg, pois)
 		}
 	}
 }
@@ -261,7 +243,7 @@ func TestDetectMatchesOracleDuplicatePOIs(t *testing.T) {
 		{ID: 3, Category: poi.College, Loc: loc},
 	}
 	tr := stationary(nil, at(0), 0, 10)
-	checkOracle(t, "duplicates", tr, DefaultConfig(), pois, 2)
+	checkOracle(t, "duplicates", tr, DefaultConfig(), pois)
 	if vs := naiveDetect(tr, DefaultConfig(), pois); len(vs) != 1 || vs[0].POIID != 1 {
 		t.Fatalf("oracle snapped to %+v, want POI 1", vs)
 	}
@@ -283,7 +265,7 @@ func TestDetectMatchesOracleAtTimeThresholds(t *testing.T) {
 		{"dur=MinDuration", trace.GPSTrace{{T: 0, Loc: at(0)}, {T: minDur, Loc: at(0)}}, 1},
 		{"dur=MinDuration-1", trace.GPSTrace{{T: 0, Loc: at(0)}, {T: minDur - 1, Loc: at(0)}}, 0},
 	} {
-		checkOracle(t, tc.name, tc.tr, cfg, nil, 1)
+		checkOracle(t, tc.name, tc.tr, cfg, nil)
 		if vs := naiveDetect(tc.tr, cfg, nil); len(vs) != tc.visits {
 			t.Fatalf("%s: oracle found %d visits, want %d", tc.name, len(vs), tc.visits)
 		}

@@ -71,32 +71,72 @@ func (c Config) Validate() error {
 // in which case visits are not snapped to POIs. Detected visits are
 // non-overlapping and time-ordered.
 //
-// Detect is the one-shot form of the Segmenter: it feeds the whole trace
-// and flushes, so batch and incremental segmentation share a single
-// implementation and cannot diverge. It scans tr in place and does not
-// retain it.
+// Detect is one forward scan over tr in place: from each anchor fix it
+// extends the stay window while fixes keep within MaxGap of their
+// predecessor and within RoamRadius of the anchor. A window spanning at
+// least MinDuration becomes a visit at the centroid of its fixes and the
+// scan resumes after it; otherwise the anchor moves on by one fix. tr is
+// neither copied nor retained.
 func Detect(tr trace.GPSTrace, cfg Config, db *poi.DB) ([]trace.Visit, error) {
-	s, err := NewSegmenter(cfg, db)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return s.feed(tr, true)
+	for k := 1; k < len(tr); k++ {
+		if tr[k].T < tr[k-1].T {
+			return nil, fmt.Errorf("visits: GPS trace not time-ordered")
+		}
+	}
+	rt := geo.NewRadiusTest(cfg.RoamRadius) // RoamRadius, thresholds solved once
+	var out []trace.Visit
+	for i := 0; i < len(tr); {
+		anchor := tr[i]
+		roam := rt.Around(anchor.Loc)
+		j := i + extend(tr[i+1:], &roam, anchor.T, cfg.MaxGap)
+		if dur := time.Duration(tr[j].T-anchor.T) * time.Second; dur < cfg.MinDuration {
+			i++
+			continue
+		}
+		v := trace.Visit{Start: anchor.T, End: tr[j].T, Loc: centroid(tr[i : j+1]), POIID: -1}
+		if db != nil {
+			if p, _, ok := db.NearestWithin(v.Loc, cfg.SnapRadius); ok {
+				v.POIID = p.ID
+				v.Category = p.Category
+			}
+		}
+		out = append(out, v)
+		i = j + 1
+	}
+	return out, nil
 }
 
-// centroid returns the mean coordinate of the fixes a followed by the
-// fixes b, summed in that order. Valid for the small extents of a single
-// stay.
-func centroid(a, b []trace.GPSPoint) geo.LatLon {
+// extend returns how many leading fixes of w continue a stay window
+// whose latest fix is at prevT: each fix must follow its predecessor
+// within maxGap and lie within the roam disk around the window's anchor.
+func extend(w []trace.GPSPoint, roam *geo.Disk, prevT int64, maxGap time.Duration) int {
+	for k, p := range w {
+		if time.Duration(p.T-prevT)*time.Second > maxGap {
+			return k
+		}
+		// Decision-identical to Distance(anchor, p.Loc) <= RoamRadius:
+		// squared certified thresholds decide all but borderline fixes
+		// without square roots or trigonometry (see geo/fastdist.go).
+		if !roam.Contains(p.Loc) {
+			return k
+		}
+		prevT = p.T
+	}
+	return len(w)
+}
+
+// centroid returns the mean coordinate of the fixes, summed in order.
+// Valid for the small extents of a single stay.
+func centroid(pts []trace.GPSPoint) geo.LatLon {
 	var lat, lon float64
-	for _, p := range a {
+	for _, p := range pts {
 		lat += p.Loc.Lat
 		lon += p.Loc.Lon
 	}
-	for _, p := range b {
-		lat += p.Loc.Lat
-		lon += p.Loc.Lon
-	}
-	n := float64(len(a) + len(b))
+	n := float64(len(pts))
 	return geo.LatLon{Lat: lat / n, Lon: lon / n}
 }
 

@@ -4,9 +4,10 @@ package geosocial
 // validation engine into the long-running geoserve service. The
 // internal/serve package owns spool watching, job scheduling, the LRU
 // result cache and the HTTP API; validation itself is injected from
-// here, so the service runs the exact engine geovalidate runs — which
-// is what makes served partitions byte-identical to CLI output on the
-// same dataset, for any worker count.
+// here as one serve.ValidateFunc, so the service runs the exact engine
+// geovalidate runs — which is what makes served partitions
+// byte-identical to CLI output on the same dataset, for any worker
+// count.
 
 import (
 	"bytes"
@@ -38,10 +39,12 @@ type ServerOptions struct {
 	// PollInterval is the spool scan period (0 selects 2s, < 0 disables
 	// the watcher; uploads still work).
 	PollInterval time.Duration
-	// Stream carries the validation parameters and worker count every
-	// job runs with, exactly as ValidateFileOpts interprets them. Its
-	// OutcomeLog field is ignored (the service owns per-job log paths;
-	// see Outcomes).
+	// Stream carries the validation parameters, worker count and
+	// checkpoint sweep age (CheckpointStale) every job runs with,
+	// exactly as ValidateFileOpts and UpdateValidation interpret them.
+	// Its OutcomeLog and CheckpointDir fields are ignored: the service
+	// owns per-job log and checkpoint paths (see Outcomes and
+	// Checkpoints).
 	Stream StreamOptions
 	// Outcomes makes every validation also write a GSO1 outcome log
 	// (content-addressed under "outcomes" in the spool) and enables the
@@ -70,20 +73,12 @@ type ServerOptions struct {
 	// by the parameter fingerprint, like the cache and outcome tiers).
 	// A job interrupted by a crash or server restart then resumes from
 	// its completed shards on retry instead of revalidating everything;
-	// the checkpoints of a successfully completed job are removed. The
-	// Stream.CheckpointDir field is ignored (the service owns per-job
-	// checkpoint paths).
+	// the checkpoints of a successfully completed job are removed.
 	Checkpoints bool
 	// MaxCheckpointRuns caps retained checkpoint run directories
 	// (oldest pruned first after a failed validation; pruning costs
 	// only that run's partial progress). <= 0 means unbounded.
 	MaxCheckpointRuns int
-	// CheckpointStale overrides how old an orphaned checkpoint temp
-	// file must be before a resuming run sweeps it (see
-	// checkpoint.DefaultStaleAfter; <= 0 selects the default). It only
-	// tunes crash-debris cleanup, so it is deliberately excluded from
-	// the parameter fingerprint that namespaces the persisted tiers.
-	CheckpointStale time.Duration
 	// Logger, when non-nil, receives one info line per service
 	// lifecycle event. A nil logger stays silent.
 	Logger *obs.Logger
@@ -109,7 +104,6 @@ func NewServer(opts ServerOptions) (*serve.Server, error) {
 	}
 	cfg := serve.Config{
 		SpoolDir:            opts.SpoolDir,
-		Workers:             opts.Stream.Workers,
 		MaxJobs:             opts.MaxJobs,
 		CacheCapacity:       opts.CacheCapacity,
 		NoDiskCache:         opts.NoDiskCache,
@@ -123,19 +117,14 @@ func NewServer(opts ServerOptions) (*serve.Server, error) {
 		Logger:              opts.Logger,
 		Registry:            opts.Registry,
 		Spans:               opts.Stream.Spans,
-		Validate: func(path string, workers int, outcomeLog, checkpointDir string) (*StreamResult, error) {
+		Validate: func(req serve.Request) (*StreamResult, error) {
 			o := opts.Stream
-			o.Workers = workers
-			o.OutcomeLog = outcomeLog
-			o.CheckpointDir = checkpointDir
-			o.CheckpointStale = opts.CheckpointStale
-			return ValidateFileOpts(path, o)
-		},
-		Update: func(path string, prev *StreamResult, prevLog string, workers int, outcomeLog string) (*StreamResult, error) {
-			o := opts.Stream
-			o.Workers = workers
-			o.OutcomeLog = outcomeLog
-			return UpdateValidation(path, prev, prevLog, o)
+			o.OutcomeLog = req.OutcomeLog
+			o.CheckpointDir = req.CheckpointDir
+			if req.Prev != nil {
+				return UpdateValidation(req.Path, req.Prev, req.PrevLog, o)
+			}
+			return ValidateFileOpts(req.Path, o)
 		},
 	}
 	if opts.Outcomes {
