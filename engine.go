@@ -31,14 +31,12 @@ import (
 	"geosocial/internal/obs"
 	"geosocial/internal/outcome"
 	"geosocial/internal/par"
-	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
 
 // plan is one validation run in the form the engine executes.
 type plan struct {
 	name string
-	db   *poi.DB
 	// shards labels the stats slots, one per result shard. Slot
 	// len(shards) is corpus-wide: it feeds the totals but no shard.
 	shards []string
@@ -377,7 +375,9 @@ func (e *engine) foldPass() error {
 // classification and, when logging, record distillation (and its
 // encoding for a checkpoint fragment when encode is set).
 func (e *engine) process(u *trace.User, sp *shardSpans, encode bool) (outcomeCls, error) {
-	o, err := e.v.ValidateUserSpans(u, e.p.db, sp.segment, sp.match)
+	// No POI database: nothing the engine reports (partition, taxonomy,
+	// truth, outcome record, checkpoint fragment) reads a visit's snap.
+	o, err := e.v.ValidateUserSpans(u, nil, sp.segment, sp.match)
 	if err != nil {
 		return outcomeCls{}, err
 	}

@@ -43,7 +43,6 @@ import (
 	"geosocial/internal/obs"
 	"geosocial/internal/outcome"
 	"geosocial/internal/par"
-	"geosocial/internal/poi"
 	recoverpkg "geosocial/internal/recover"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
@@ -210,11 +209,7 @@ func ValidateFileOpts(path string, opts StreamOptions) (*StreamResult, error) {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	defer stream.Close()
-	db, err := stream.DB()
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	p := &plan{name: stream.Name, db: db, shards: []string{path},
+	p := &plan{name: stream.Name, shards: []string{path},
 		sources: []source{{src: stream.Frames()}}}
 	res, err := p.run(opts)
 	if err != nil {
@@ -287,13 +282,8 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 			src = ds.FoldSource(r)
 		}
 		p.sources = append(p.sources, source{src: src, slot: i})
-		if p.db == nil {
-			if p.db, err = poi.NewDB(r.POIs()); err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-		}
 	}
-	if p.db == nil {
+	if len(p.sources) == 0 {
 		return nil, fmt.Errorf("geosocial: %s: shard set has no base shards", path)
 	}
 	if ds != nil {

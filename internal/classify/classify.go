@@ -177,6 +177,8 @@ func ClassifyUser(o core.UserOutcome, p Params) (*Classification, error) {
 	}
 	u := o.User
 	cl := &Classification{Kinds: make([]Kind, len(u.Checkins))}
+	var win core.VisitWindow
+	win.Reset(o.Visits)
 
 	for ci, c := range u.Checkins {
 		if o.Match.IsHonest(ci) {
@@ -190,9 +192,8 @@ func ClassifyUser(o core.UserOutcome, p Params) (*Classification, error) {
 			continue
 		}
 		if !ok {
-			// No GPS evidence near the checkin time: the position is
-			// unverifiable; treat as remote only if the nearest fix is
-			// far, else leave undistinguished.
+			// No GPS fix within SpeedGap of the checkin: its position is
+			// unverifiable, so the checkin is Other.
 			cl.Kinds[ci] = Other
 			continue
 		}
@@ -202,7 +203,7 @@ func ClassifyUser(o core.UserOutcome, p Params) (*Classification, error) {
 			continue
 		}
 		// Superfluous: a visit here was claimed by a closer checkin.
-		if hasStolenVisit(o, c, p) {
+		if hasStolenVisit(o, &win, c, p) {
 			cl.Kinds[ci] = Superfluous
 			continue
 		}
@@ -212,16 +213,17 @@ func ClassifyUser(o core.UserOutcome, p Params) (*Classification, error) {
 }
 
 // hasStolenVisit reports whether some visit within the α/β window of c
-// was matched to a different checkin.
-func hasStolenVisit(o core.UserOutcome, c trace.Checkin, p Params) bool {
-	for vi, v := range o.Visits {
-		if !o.Match.IsVisitMatched(vi) {
+// was matched to a different checkin. It walks only the visits win
+// places near c in time and tests time before distance.
+func hasStolenVisit(o core.UserOutcome, win *core.VisitWindow, c trace.Checkin, p Params) bool {
+	lo, hi := win.Span(c.T, p.SuperfluousWindow)
+	for k := lo; k < hi; k++ {
+		vi := win.Visit(k)
+		v := &o.Visits[vi]
+		if v.DeltaT(c.T) >= p.SuperfluousWindow || !o.Match.IsVisitMatched(vi) {
 			continue
 		}
-		if geo.Distance(v.Loc, c.Loc) > p.SuperfluousDist {
-			continue
-		}
-		if v.DeltaT(c.T) < p.SuperfluousWindow {
+		if geo.Distance(v.Loc, c.Loc) <= p.SuperfluousDist {
 			return true
 		}
 	}

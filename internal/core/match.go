@@ -20,7 +20,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"geosocial/internal/geo"
@@ -72,8 +76,8 @@ type Result struct {
 	MissingIdx []int
 
 	// honestBits and visitBits are bitmaps over checkin / visit indices,
-	// precomputed by MatchUser so IsHonest and IsVisitMatched are O(1).
-	// Hand-built Results (tests) leave them nil and fall back to a scan.
+	// filled by MatchInto so IsHonest and IsVisitMatched are O(1). A zero
+	// Result has neither, and no matches.
 	honestBits []bool
 	visitBits  []bool
 }
@@ -89,206 +93,202 @@ func (r *Result) Missing() int { return len(r.MissingIdx) }
 
 // IsHonest reports whether checkin index ci was matched.
 func (r *Result) IsHonest(ci int) bool {
-	if r.honestBits != nil {
-		return ci >= 0 && ci < len(r.honestBits) && r.honestBits[ci]
-	}
-	for _, m := range r.Matches {
-		if m.CheckinIdx == ci {
-			return true
-		}
-	}
-	return false
+	return ci >= 0 && ci < len(r.honestBits) && r.honestBits[ci]
 }
 
 // IsVisitMatched reports whether visit index vi was claimed by a checkin.
 func (r *Result) IsVisitMatched(vi int) bool {
-	if r.visitBits != nil {
-		return vi >= 0 && vi < len(r.visitBits) && r.visitBits[vi]
-	}
-	for _, m := range r.Matches {
-		if m.VisitIdx == vi {
-			return true
-		}
-	}
-	return false
+	return vi >= 0 && vi < len(r.visitBits) && r.visitBits[vi]
 }
 
 // MatchUser runs the matching algorithm for one user's checkins against
-// her detected visits. Both inputs must be time-ordered; visits must be
-// non-overlapping (as produced by internal/visits).
+// the user's detected visits. A checkin's candidates are the visits
+// within β of it in time (a VisitWindow query), and α is decided with
+// the exact great-circle distance. Visits may come in any order and may
+// overlap: ties go by index, never by position in a scan. Visits from
+// internal/visits are already in start order and are searched in place.
 //
-// To rerun matching over the same visits at several parameter settings
-// (the (α, β) sweep), build a VisitIndex once and call its Match method.
+// To match repeatedly without allocating — the (α, β) sweep — reuse a
+// Matcher and a Result through Matcher.MatchInto.
 func MatchUser(checkins trace.CheckinTrace, vs []trace.Visit, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(checkins) == 0 && len(vs) == 0 {
-		return &Result{}, nil
-	}
-	return NewVisitIndex(vs, p.Alpha).Match(checkins, p)
-}
-
-// VisitIndex is a reusable spatial index over one user's visit centroids.
-// Building the grid is the dominant fixed cost of MatchUser, so callers
-// that match the same visits repeatedly — the (α, β) consistency sweep —
-// build the index once at the largest α they will query and reuse it:
-// radius queries are exact for any radius, the cell size only tunes scan
-// cost. Match results are identical to MatchUser for any cell size.
-type VisitIndex struct {
-	vs   []trace.Visit
-	grid *geo.GridIndex
-	// Reusable per-Match scratch (what makes repeated Match calls on one
-	// index allocation-free in steady state, and the index single-threaded).
-	buf    []int
-	claims []claim
-	winner []int32
-}
-
-// claim is one checkin's provisional claim on a visit (Step 2 output,
-// before conflict resolution).
-type claim struct {
-	checkin int
-	visit   int
-	deltaT  time.Duration
-	dist    float64
-}
-
-// NewVisitIndex builds the index with the given grid cell size in meters
-// (values <= 0 default to 500; pass the largest α you will match at).
-func NewVisitIndex(vs []trace.Visit, cellMeters float64) *VisitIndex {
-	pts := make([]geo.LatLon, len(vs))
-	for i, v := range vs {
-		pts[i] = v.Loc
-	}
-	return &VisitIndex{vs: vs, grid: geo.NewGridIndex(pts, cellMeters)}
-}
-
-// Match runs the §4.1 matching of checkins against the indexed visits.
-// The index is not safe for concurrent Match calls (it reuses internal
-// scratch buffers); build one index per goroutine.
-func (ix *VisitIndex) Match(checkins trace.CheckinTrace, p Params) (*Result, error) {
-	res := &Result{}
-	if err := ix.MatchInto(res, checkins, p); err != nil {
+	var m Matcher
+	res := new(Result)
+	if err := m.MatchInto(res, checkins, vs, p); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// MatchInto is Match writing its result into res, reusing res's slices —
-// the steady-state allocation-free form for hot loops that recycle a
-// Result across users or parameter settings. res must not be read
-// concurrently with the call; its previous contents are overwritten.
-func (ix *VisitIndex) MatchInto(res *Result, checkins trace.CheckinTrace, p Params) error {
+// Matcher is the reusable scratch of the matching pass. A Matcher is not
+// safe for concurrent use; give each goroutine its own.
+type Matcher struct {
+	win    VisitWindow
+	claims []claim // per checkin, its Step 2 pick before conflict resolution
+	winner []int32 // per visit, the closest checkin claiming it, or -1
+}
+
+// claim is the visit a checkin picked (-1: none) and its distance.
+type claim struct {
+	visit int
+	dist  float64
+}
+
+// MatchInto is MatchUser writing its result into res, reusing res's
+// slices and the matcher's scratch — the steady-state allocation-free
+// form for loops that recycle a Result across users or parameter
+// settings. res's previous contents are overwritten.
+func (m *Matcher) MatchInto(res *Result, checkins trace.CheckinTrace, vs []trace.Visit, p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	vs := ix.vs
-	res.Matches = res.Matches[:0]
-	res.ExtraneousIdx = res.ExtraneousIdx[:0]
-	res.MissingIdx = res.MissingIdx[:0]
-	res.honestBits = resetBools(res.honestBits, len(checkins))
-	res.visitBits = resetBools(res.visitBits, len(vs))
-	ix.claims = ix.claims[:0]
-	if cap(ix.winner) < len(vs) {
-		ix.winner = make([]int32, len(vs))
-	}
-	ix.winner = ix.winner[:len(vs)]
-	for i := range ix.winner {
-		ix.winner[i] = -1
+	m.win.Reset(vs)
+	m.claims = reuse(m.claims, len(checkins))
+	m.winner = reuse(m.winner, len(vs))
+	for i := range m.winner {
+		m.winner[i] = -1
 	}
 
-	// Step 1 + Step 2: provisional best visit per checkin. Candidate scan
-	// order is whatever the grid yields, so ΔT ties are broken explicitly:
-	// the lowest visit index (the earliest detected visit) wins. The §4.1
-	// text does not specify a tie rule; index order is the deterministic
-	// choice that cannot depend on grid geometry.
+	// Step 1 + Step 2: each checkin picks the visit closest in time among
+	// those within α and β, the lowest visit index on a ΔT tie (§4.1
+	// does not specify a tie rule; index order is the deterministic
+	// choice). Time is tested first: it is an integer compare, and a
+	// candidate that cannot beat the pick is never measured.
 	//
-	// Conflict resolution is folded into the same pass: ix.winner tracks,
-	// per visit, the claim index of the geographically closest claiming
-	// checkin so far (§4.1 — ties keep the earliest checkin, matching the
-	// strict < comparison the claim-list scan used).
+	// Conflict resolution is folded into the same pass: m.winner tracks,
+	// per visit, the geographically closest claimant so far; the strict
+	// < keeps the earliest checkin on a distance tie.
+	honest := 0
 	for ci, c := range checkins {
-		ix.buf = ix.grid.Within(c.Loc, p.Alpha, ix.buf[:0])
-		bestVisit := -1
-		bestDT := time.Duration(0)
-		bestDist := 0.0
-		for _, vi := range ix.buf {
+		cl := claim{visit: -1}
+		var bestDT time.Duration
+		lo, hi := m.win.Span(c.T, p.Beta)
+		for k := lo; k < hi; k++ {
+			vi := m.win.Visit(k)
 			dt := vs[vi].DeltaT(c.T)
-			if dt >= p.Beta {
+			if dt >= p.Beta || (cl.visit >= 0 && (dt > bestDT || (dt == bestDT && vi > cl.visit))) {
 				continue
 			}
-			if bestVisit < 0 || dt < bestDT || (dt == bestDT && vi < bestVisit) {
-				bestDT = dt
-				bestVisit = vi
-				bestDist = geo.Distance(c.Loc, vs[vi].Loc)
+			if d := geo.Distance(c.Loc, vs[vi].Loc); d <= p.Alpha {
+				cl, bestDT = claim{vi, d}, dt
 			}
 		}
-		if bestVisit >= 0 {
-			k := int32(len(ix.claims))
-			ix.claims = append(ix.claims, claim{checkin: ci, visit: bestVisit, deltaT: bestDT, dist: bestDist})
-			if w := ix.winner[bestVisit]; w < 0 || bestDist < ix.claims[w].dist {
-				ix.winner[bestVisit] = k
-			}
-		}
-	}
-
-	// Emit surviving matches. Claims are in ascending checkin order and
-	// each checkin claims at most one visit, so the result is already
-	// sorted by CheckinIdx — the same order the deterministic sort
-	// produced before conflict resolution was single-pass.
-	for k := range ix.claims {
-		cl := &ix.claims[k]
-		if ix.winner[cl.visit] != int32(k) {
+		m.claims[ci] = cl
+		if cl.visit < 0 {
 			continue
 		}
-		res.Matches = append(res.Matches, Match{
-			CheckinIdx: cl.checkin,
-			VisitIdx:   cl.visit,
-			DeltaT:     cl.deltaT,
-			Dist:       cl.dist,
-		})
-		res.honestBits[cl.checkin] = true
-		res.visitBits[cl.visit] = true
+		switch w := m.winner[cl.visit]; {
+		case w < 0:
+			m.winner[cl.visit] = int32(ci)
+			honest++
+		case cl.dist < m.claims[w].dist:
+			m.winner[cl.visit] = int32(ci)
+		}
 	}
 
-	for ci := range checkins {
+	res.Matches = reuse(res.Matches, honest)[:0]
+	res.ExtraneousIdx = reuse(res.ExtraneousIdx, len(checkins)-honest)[:0]
+	res.MissingIdx = reuse(res.MissingIdx, len(vs)-honest)[:0]
+	res.honestBits = reuse(res.honestBits, len(checkins))
+	res.visitBits = reuse(res.visitBits, len(vs))
+	clear(res.visitBits)
+	for ci, c := range checkins {
+		vi := m.claims[ci].visit
+		res.honestBits[ci] = vi >= 0 && m.winner[vi] == int32(ci)
 		if !res.honestBits[ci] {
 			res.ExtraneousIdx = append(res.ExtraneousIdx, ci)
+			continue
 		}
+		res.Matches = append(res.Matches, Match{CheckinIdx: ci, VisitIdx: vi, DeltaT: vs[vi].DeltaT(c.T), Dist: m.claims[ci].dist})
+		res.visitBits[vi] = true
 	}
 	for vi := range vs {
 		if !res.visitBits[vi] {
 			res.MissingIdx = append(res.MissingIdx, vi)
 		}
 	}
-	sortMatches(res)
 	return nil
 }
 
-// resetBools returns b resized to n with every element false, reusing
-// capacity when possible.
-func resetBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// reuse returns s resized to n, allocating only when its capacity is
+// short. Elements keep whatever values they held.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
+	return s[:n]
 }
 
-// sortMatches orders the result deterministically by checkin index.
-func sortMatches(r *Result) {
-	// Insertion sort: match lists are small per user and mostly ordered.
-	for i := 1; i < len(r.Matches); i++ {
-		m := r.Matches[i]
-		j := i - 1
-		for j >= 0 && r.Matches[j].CheckinIdx > m.CheckinIdx {
-			r.Matches[j+1] = r.Matches[j]
-			j--
-		}
-		r.Matches[j+1] = m
+// VisitWindow is a time index over one user's visits. Span narrows the
+// question "which visits lie within d of time t" (Visit.DeltaT(t) < d)
+// to a short run of candidates found by binary search, so matching and
+// the superfluous test visit only the few stays around a checkin.
+//
+// Visits in start order whose ends never decrease — what internal/visits
+// produces — are searched in place, with no copy and no sort. Any other
+// list (unsorted, nested, or with End < Start) is searched through a
+// start-ordered permutation and a running maximum of the ends, which
+// keeps every candidate inside the run. The zero value is ready for
+// Reset; a VisitWindow is not safe for concurrent use.
+type VisitWindow struct {
+	vs []trace.Visit
+	// order lists visit indices by (Start, index), and reach[k] is the
+	// latest Start or End among order[:k+1]. Both are empty when vs is
+	// searched in place.
+	order []int32
+	reach []int64
+}
+
+// Reset indexes vs, reusing the window's scratch. The window reads vs
+// until the next Reset.
+func (w *VisitWindow) Reset(vs []trace.Visit) {
+	w.vs, w.order, w.reach = vs, w.order[:0], w.reach[:0]
+	i := 0
+	for i < len(vs) && vs[i].Start <= vs[i].End &&
+		(i == 0 || (vs[i].Start >= vs[i-1].Start && vs[i].End >= vs[i-1].End)) {
+		i++
 	}
+	if i == len(vs) {
+		return // searched in place
+	}
+	for i := range vs {
+		w.order = append(w.order, int32(i))
+	}
+	slices.SortStableFunc(w.order, func(a, b int32) int { return cmp.Compare(vs[a].Start, vs[b].Start) })
+	reach := int64(math.MinInt64)
+	for _, vi := range w.order {
+		reach = max(reach, vs[vi].Start, vs[vi].End)
+		w.reach = append(w.reach, reach)
+	}
+}
+
+// Span returns the run [lo, hi) of window positions holding every visit
+// within d of t. The run may also hold visits that end too early, so
+// callers map each position to its visit index with Visit and confirm
+// it with Visit.DeltaT.
+func (w *VisitWindow) Span(t int64, d time.Duration) (lo, hi int) {
+	if d <= 0 {
+		return 0, 0
+	}
+	// DeltaT counts whole seconds, so DeltaT(t) < d exactly when the gap
+	// in seconds is below s = ceil(d / 1s): Start < t+s and End > t-s.
+	s := int64(d / time.Second)
+	if d%time.Second != 0 {
+		s++
+	}
+	hi = sort.Search(len(w.vs), func(k int) bool { return w.vs[w.Visit(k)].Start >= t+s })
+	lo = sort.Search(hi, func(k int) bool {
+		if len(w.reach) == 0 {
+			return w.vs[k].End > t-s
+		}
+		return w.reach[k] > t-s
+	})
+	return lo, hi
+}
+
+// Visit returns the index into the visit list of window position k.
+func (w *VisitWindow) Visit(k int) int {
+	if len(w.order) == 0 {
+		return k
+	}
+	return int(w.order[k])
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,44 +173,6 @@ func TestMatchDeltaTTieBreak(t *testing.T) {
 	}
 }
 
-// TestVisitIndexMatchesMatchUser pins the reusable index to MatchUser for
-// any grid cell size: radius queries are exact, and the explicit
-// tie-break makes scan order irrelevant, so results must be identical.
-func TestVisitIndexMatchesMatchUser(t *testing.T) {
-	s := rng.New(99)
-	var cks trace.CheckinTrace
-	var vs []trace.Visit
-	var tcur int64
-	for i := 0; i < 80; i++ {
-		tcur += s.Int63n(1500)
-		cks = append(cks, trace.Checkin{T: tcur, Loc: at(s.Range(0, 2500))})
-	}
-	tcur = 0
-	for i := 0; i < 80; i++ {
-		start := tcur + s.Int63n(900)
-		end := start + 360 + s.Int63n(2400)
-		tcur = end
-		vs = append(vs, trace.Visit{Start: start, End: end, Loc: at(s.Range(0, 2500)), POIID: -1})
-	}
-	p := DefaultParams()
-	want, err := MatchUser(cks, vs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range []float64{100, 500, 2000, 10000} {
-		got, err := NewVisitIndex(vs, cell).Match(cks, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cell=%gm: result differs from MatchUser", cell)
-		}
-	}
-	if _, err := NewVisitIndex(vs, 500).Match(cks, Params{}); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
 func TestMatchEachCheckinAtMostOneVisit(t *testing.T) {
 	// One checkin, several nearby visits: exactly one match.
 	res := mustMatch(t,
@@ -359,8 +320,8 @@ func TestSweepParamsMonotone(t *testing.T) {
 	}
 }
 
-// TestSweepParamsMatchesPerCellMatching pins the grid-reuse optimization:
-// the sweep (one spatial index per user, built at the maximum alpha) must
+// TestSweepParamsMatchesPerCellMatching pins the scratch reuse: the
+// sweep (one Matcher and one Result across every user and cell) must
 // produce exactly the counts of running MatchUser from scratch for every
 // cell.
 func TestSweepParamsMatchesPerCellMatching(t *testing.T) {

@@ -11,6 +11,9 @@ import (
 )
 
 // UserOutcome bundles one user's detected visits and matching result.
+// Visits are snapped to POIs only when validation was given a POI
+// database (ValidateDataset). The facade's streaming engine passes none,
+// since nothing it reports reads the snap, so its visits carry POIID -1.
 type UserOutcome struct {
 	User   *trace.User
 	Visits []trace.Visit
@@ -138,10 +141,11 @@ func (p *Partition) Add(o UserOutcome) {
 }
 
 // ValidateUserSpans runs the §4 pipeline — visit detection then
-// matching — for one user against a POI database, resolving zero-value
-// validator fields to the paper defaults. It is pure: ValidateDataset
-// and the facade's streaming engine both call it, which is what makes
-// their outputs identical.
+// matching — for one user, resolving zero-value validator fields to the
+// paper defaults. Visits are snapped to db's POIs; a nil db skips the
+// snap and leaves POIID -1, which changes no match. It is pure:
+// ValidateDataset and the facade's streaming engine both call it, which
+// is what makes their matches and partitions identical.
 //
 // seg observes the visit-detection (segment) stage and match the
 // checkin-matching stage, each as (1 user, wall time). Pass nil
@@ -331,28 +335,19 @@ type SweepPoint struct {
 // results are "most consistent" around 500 m / 30 min — corresponds to
 // the count surface flattening there; the ablation bench regenerates it.
 //
-// Each user's spatial index is built once, at the largest α in the grid,
-// and reused across every sweep cell — rebuilding it per (α, β, user)
-// made the sweep O(cells × users) grid constructions for identical
-// geometry. Radius queries are exact for any radius, so the counts are
-// identical to matching each cell from scratch.
+// One Matcher and one Result serve every user and cell, so the sweep
+// allocates its scratch once rather than per (α, β, user).
 func SweepParams(outs []UserOutcome, alphas []float64, betas []time.Duration) ([]SweepPoint, error) {
 	if len(alphas) == 0 || len(betas) == 0 {
 		return nil, nil
 	}
-	maxAlpha := alphas[0]
-	for _, a := range alphas[1:] {
-		if a > maxAlpha {
-			maxAlpha = a
-		}
-	}
 	honest := make([]int, len(alphas)*len(betas))
+	var m Matcher
+	var res Result
 	for _, o := range outs {
-		ix := NewVisitIndex(o.Visits, maxAlpha)
 		for ai, a := range alphas {
 			for bi, b := range betas {
-				res, err := ix.Match(o.User.Checkins, Params{Alpha: a, Beta: b})
-				if err != nil {
+				if err := m.MatchInto(&res, o.User.Checkins, o.Visits, Params{Alpha: a, Beta: b}); err != nil {
 					return nil, err
 				}
 				honest[ai*len(betas)+bi] += res.Honest()

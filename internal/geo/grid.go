@@ -3,9 +3,8 @@ package geo
 import "math"
 
 // GridIndex is a uniform spatial hash over lat/lon points supporting
-// radius queries. It is the workhorse behind checkin-to-visit candidate
-// lookup (α-radius search over tens of thousands of visits) and MANET
-// neighbor discovery.
+// radius and nearest-point queries. It backs poi.DB: the visit snap and
+// the synthetic world's venue lookups over tens of thousands of POIs.
 //
 // The index buckets points into cells of cellMeters on a side in a local
 // equirectangular projection; a radius query scans only the cells

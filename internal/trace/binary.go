@@ -78,10 +78,6 @@ const (
 	// maxStringBytes caps an encoded string so a corrupt length prefix
 	// cannot force a large allocation.
 	maxStringBytes = 1 << 20
-	// allocHint caps speculative slice preallocation from a count read
-	// off a stream (the header's POI count), where the bytes behind it
-	// are not yet in hand; the table grows past it by appending.
-	allocHint = 1 << 16
 	// minFixBytes and minCheckinBytes are the smallest encodings of a
 	// GPS fix and of a checkin (one byte per field). A count inside a
 	// frame sizes its slice to at most the records the rest of the frame
@@ -89,6 +85,12 @@ const (
 	// frame, not to the count.
 	minFixBytes     = 4
 	minCheckinBytes = 7
+	// minPOIBytes is the smallest encoding of a header POI: one byte
+	// each for the name length, category, latitude and longitude, and
+	// the 8-byte popularity. The header's POI count sizes the table to
+	// at most the POIs the bytes already buffered can hold; a longer
+	// table grows by appending as its entries arrive.
+	minPOIBytes = 12
 	// maxFixBytes is the largest encoding of a GPS fix: three 10-byte
 	// varints (time, lat, lon) and the indoor byte.
 	maxFixBytes = 3*binary.MaxVarintLen64 + 1
@@ -546,7 +548,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
 	}
-	sr.pois = make([]poi.POI, 0, min(nPOIs, allocHint))
+	sr.pois = make([]poi.POI, 0, min(nPOIs, uint64(br.Buffered()/minPOIBytes)))
 	for i := uint64(0); i < nPOIs; i++ {
 		p := poi.POI{ID: int(i)}
 		if p.Name, err = readString(br); err != nil {

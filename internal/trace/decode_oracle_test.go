@@ -9,6 +9,7 @@ package trace
 // same error text.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -426,13 +427,32 @@ func TestForgedCountAllocBounded(t *testing.T) {
 	}
 }
 
+// TestForgedPOICountAllocBounded: a 64-byte stream whose header declares
+// 2^40 POIs must fail on the missing entries having sized its POI table
+// by the bytes behind the count, not by the count.
+func TestForgedPOICountAllocBounded(t *testing.T) {
+	data := append([]byte("GSB1"), binaryVersion, 1, 'x')
+	data = binary.AppendUvarint(data, 1<<40)
+	data = append(data, make([]byte, 64-len(data))...)
+	br := bufio.NewReaderSize(bytes.NewReader(data), 1<<16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewStreamReader(br)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header declaring 2^40 POIs in 64 bytes accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("NewStreamReader allocated %d bytes for a 64-byte stream, want < 64 KiB", got)
+	}
+}
+
 // FuzzDecodeFrame feeds arbitrary GSB1 streams (header, then frames)
 // through the reader. Nothing may panic, and every frame must decode as
 // the reference decodes it. Each frame's decode may allocate at most
 // 24 bytes per frame byte, plus 1 KiB for the record and an error's
 // text: forged counts must not buy memory. (The header's POI table is
-// sized by its own stream-read count, capped at allocHint, and is not
-// part of the bound.)
+// bounded separately, by TestForgedPOICountAllocBounded.)
 func FuzzDecodeFrame(f *testing.F) {
 	var buf bytes.Buffer
 	if err := testDataset().WriteBinary(&buf); err != nil {

@@ -1,10 +1,14 @@
 package geosocial
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
 
@@ -81,5 +85,32 @@ func TestValidateFileStreamingMatchesInMemory(t *testing.T) {
 func TestValidateFileErrors(t *testing.T) {
 	if _, err := ValidateFileOpts(filepath.Join(t.TempDir(), "missing.bin"), StreamOptions{}); err == nil {
 		t.Error("missing file accepted")
+	}
+
+	// A broken POI table fails in the reader, before any user is
+	// validated, with the reader's error text for either encoding.
+	dir := t.TempDir()
+	hdr := []byte("GSB1\x01\x03bad\x01\x01p") // magic, version, name, one POI named "p"
+	hdr = binary.AppendVarint(hdr, 99)        // category 99 does not exist
+	hdr = append(hdr, make([]byte, 2+8)...)   // lat, lon, popularity
+	bin := filepath.Join(dir, "bad.bin")
+	if err := os.WriteFile(bin, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(trace.Dataset{Name: "bad", POIs: []poi.POI{{ID: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(js, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		bin: "geosocial: trace: invalid POI table: poi: POI 0 has invalid category 99",
+		js:  "geosocial: trace: invalid dataset: poi: POI at index 0 has ID 3 (must equal index)",
+	} {
+		if _, err := ValidateFileOpts(path, StreamOptions{}); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", filepath.Base(path), err, want)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"geosocial/internal/outcome"
-	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
 
@@ -132,18 +131,13 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	}
 	chains := make([][]*trace.User, len(touched))
 	homeShard := make(map[int]int, len(touched))
-	var db *poi.DB
+	base := false
 	for i := 0; i < old; i++ {
 		r, err := ss.OpenShard(i)
 		if err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
-		if db == nil && !ss.Manifest.Shards[i].Delta {
-			if db, err = poi.NewDB(r.POIs()); err != nil {
-				r.Close()
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-		}
+		base = base || !ss.Manifest.Shards[i].Delta
 		for {
 			f, err := r.NextFrame()
 			if err == io.EOF {
@@ -178,7 +172,7 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
 	}
-	if db == nil {
+	if !base {
 		return nil, fmt.Errorf("geosocial: update: shard set has no base shards")
 	}
 
@@ -188,7 +182,7 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	// revalidate in ascending ID order — an existing user into its home
 	// shard, a brand-new user into the appended shard introducing it.
 	k := len(ss.Manifest.Shards)
-	p := &plan{name: prev.Name, db: db, prior: prevLog, shards: make([]string, k), newUsers: make([]int, k)}
+	p := &plan{name: prev.Name, prior: prevLog, shards: make([]string, k), newUsers: make([]int, k)}
 	for i, info := range ss.Manifest.Shards {
 		p.shards[i] = info.File
 		p.newUsers[i] = -1
