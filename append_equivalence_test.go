@@ -7,7 +7,10 @@ package geosocial
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -388,5 +391,155 @@ func TestUpdateValidationErrors(t *testing.T) {
 	if _, err := UpdateValidation(manifest, prev, holed, StreamOptions{Workers: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no record for touched user") {
 		t.Errorf("holed previous log: %v", err)
+	}
+}
+
+// corruptFrames rewrites the shard at path with the last byte of every
+// frame of the given users turned into a varint continuation byte, so
+// the frame keeps its length and its user ID but fails to decode. hdr
+// is the shard's stream header.
+func corruptFrames(t *testing.T, path string, hdr []byte, ids map[int]bool) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed := strings.HasSuffix(path, ".gz")
+	if compressed {
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = io.ReadAll(zr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.HasPrefix(raw, hdr) {
+		t.Fatalf("%s does not start with the dataset header", path)
+	}
+	for pos := len(hdr); ; {
+		n, k := binary.Uvarint(raw[pos:])
+		if k <= 0 {
+			t.Fatalf("%s: bad frame length at %d", path, pos)
+		}
+		if n == 0 {
+			break
+		}
+		frame := raw[pos+k : pos+k+int(n)]
+		if id, _ := binary.Varint(frame); ids[int(id)] {
+			frame[len(frame)-1] |= 0x80
+		}
+		pos += k + int(n)
+	}
+	if compressed {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw = buf.Bytes()
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpdateCorruptTouchedFrames: the fold pass decodes the touched
+// users' base frames on the worker pool. A corrupt frame must fail the
+// update with the error its shard reader reports for it, and with two
+// corrupt users the error must be the same for every worker count (the
+// lower ID's: users fold in ascending ID order), mapped or gzip shards.
+func TestUpdateCorruptTouchedFrames(t *testing.T) {
+	base, gens, touched := splitAppendCorpus(t, "subset")
+	inBase := make(map[int]bool, len(base.Users))
+	for _, u := range base.Users {
+		inBase[u.ID] = true
+	}
+	var victims []int // touched users with a base frame, ascending
+	for _, id := range touched {
+		if inBase[id] {
+			victims = append(victims, id)
+		}
+	}
+	if len(victims) < 2 {
+		t.Fatal("scenario has fewer than two touched existing users")
+	}
+	lo, hi := victims[0], victims[len(victims)-1]
+	var hdrBuf bytes.Buffer
+	if err := (&trace.Dataset{Name: base.Name, POIs: base.POIs}).WriteBinary(&hdrBuf); err != nil {
+		t.Fatal(err)
+	}
+	hdr := hdrBuf.Bytes()[:hdrBuf.Len()-2] // drop the sentinel and the zero user count
+
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			dir := t.TempDir()
+			manifest, err := base.SaveShards(dir, trace.ShardOptions{Shards: 2, Compress: compress})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prevLog := filepath.Join(dir, "gen0.gso")
+			prev, err := ValidateFileOpts(manifest, StreamOptions{Workers: 1, OutcomeLog: prevLog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyAppend(t, manifest, gens[0])
+			ss, err := trace.OpenShardSet(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// shardErr is the error the serial reader reports for the
+			// set's first corrupt frame.
+			shardErr := func() string {
+				for i := range prev.Shards {
+					r, err := ss.OpenShard(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for err == nil {
+						_, err = r.Next()
+					}
+					r.Close()
+					if err != io.EOF {
+						return err.Error()
+					}
+				}
+				t.Fatal("no corrupt frame")
+				return ""
+			}
+			updateErrs := func() []string {
+				var out []string
+				for _, workers := range []int{1, 2, 8} {
+					_, err := UpdateValidation(manifest, prev, prevLog, StreamOptions{Workers: workers})
+					if err == nil {
+						t.Fatalf("workers=%d: update over a corrupt touched frame succeeded", workers)
+					}
+					out = append(out, err.Error())
+				}
+				return out
+			}
+			corrupt := func(ids map[int]bool) {
+				for i := range prev.Shards {
+					corruptFrames(t, filepath.Join(dir, ss.Manifest.Shards[i].File), hdr, ids)
+				}
+			}
+
+			corrupt(map[int]bool{lo: true})
+			want := "geosocial: " + shardErr()
+			for _, got := range updateErrs() {
+				if got != want {
+					t.Fatalf("one corrupt frame: error %q, want %q", got, want)
+				}
+			}
+			corrupt(map[int]bool{hi: true})
+			for _, got := range updateErrs() {
+				if got != want {
+					t.Fatalf("two corrupt frames: error %q, want the lower ID's %q", got, want)
+				}
+			}
+		})
 	}
 }

@@ -434,10 +434,12 @@ func (e *engine) emit(rec *outcome.Record) error {
 	return nil
 }
 
-// subtractPrior walks the prior log once. A record of a revalidated
-// user is subtracted from the slot that revalidated it; any other
-// record adds its truth counts. When logging, the same pass compacts
-// the prior log with this run's records into the output log.
+// subtractPrior walks the prior log once, reading only the columns the
+// accounting needs (outcome.Walk, or the walk inside outcome.Append). A
+// record of a revalidated user is subtracted from the slot that
+// revalidated it; any other record adds its truth counts. When logging,
+// the same pass compacts the prior log with this run's records into the
+// output log.
 func (e *engine) subtractPrior() error {
 	pending := make(map[int]bool) // replacing user -> its record not yet seen
 	for _, fu := range e.p.fold {
@@ -470,7 +472,7 @@ func (e *engine) subtractPrior() error {
 	if e.logging {
 		err = outcome.Append(e.p.prior, e.opts.OutcomeLog, e.recs, observe)
 	} else {
-		err = outcome.Scan(e.p.prior, func(rec *outcome.Record) error {
+		err = outcome.Walk(e.p.prior, func(rec *outcome.Record) error {
 			_, revalidated := e.seen[rec.UserID]
 			return observe(rec, revalidated)
 		})

@@ -29,9 +29,12 @@ const (
 	// maxKindCount bounds the header kind count: kinds are stored as
 	// single bytes, so anything larger is structurally impossible.
 	maxKindCount = 256
-	// allocHint caps speculative slice preallocation from untrusted
-	// counts; slices grow past it by appending.
-	allocHint = 1 << 16
+	// readGrowBytes is the first step by which a record or string read
+	// grows its buffer past the bytes that have arrived.
+	readGrowBytes = 1 << 16
+	// minCheckinBytes is the least a valid checkin occupies in a record:
+	// a time, a kind and a label byte, and its feature vector.
+	minCheckinBytes = 3 + 8*detect.FeatureDim
 )
 
 // labelTable enumerates the known ground-truth labels; the index is the
@@ -151,11 +154,14 @@ func DecodeRecord(data []byte) (*Record, error) {
 // --- decoding helpers ---
 
 // recDec decodes one record payload with a sticky error, so call sites
-// stay linear and check failure once.
+// stay linear and check failure once. loose records that the payload
+// is not in the canonical form encodeRecord writes: a varint longer
+// than its value needs, or a known label escaped as a string.
 type recDec struct {
-	data []byte
-	pos  int
-	err  error
+	data  []byte
+	pos   int
+	err   error
+	loose bool
 }
 
 func (d *recDec) fail(format string, args ...any) {
@@ -173,6 +179,7 @@ func (d *recDec) uvarint() uint64 {
 		d.fail("outcome: record: bad uvarint at offset %d", d.pos)
 		return 0
 	}
+	d.loose = d.loose || n > 1 && d.data[d.pos+n-1] == 0 // minimal encodings end in a non-zero byte
 	d.pos += n
 	return v
 }
@@ -186,6 +193,7 @@ func (d *recDec) varint() int64 {
 		d.fail("outcome: record: bad varint at offset %d", d.pos)
 		return 0
 	}
+	d.loose = d.loose || n > 1 && d.data[d.pos+n-1] == 0
 	d.pos += n
 	return v
 }
@@ -243,35 +251,92 @@ func (d *recDec) label() trace.Label {
 		return labelTable[idx]
 	}
 	if idx == uint64(len(labelTable)) {
-		return trace.Label(d.str())
+		l := trace.Label(d.str())
+		for _, known := range labelTable {
+			d.loose = d.loose || l == known
+		}
+		return l
 	}
 	d.fail("outcome: record: bad label code %d", idx)
 	return trace.LabelNone
 }
 
-// flights reads one Levy flight block (nil when empty — decoded
-// records are in canonical form, see canon).
-func (d *recDec) flights() []levy.Flight {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
+// skipF64s steps over n float64s, failing where n calls of f64 would.
+func (d *recDec) skipF64s(n uint64) {
+	if d.err != nil {
+		return
 	}
-	out := make([]levy.Flight, 0, min(n, allocHint))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, levy.Flight{Dist: d.f64()})
+	if fit := uint64(len(d.data)-d.pos) / 8; n > fit {
+		d.pos += int(fit) * 8
+		d.fail("outcome: record: truncated float at offset %d", d.pos)
+		return
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out[i].Time = d.f64()
-	}
-	return out
+	d.pos += int(n) * 8
+}
+
+// floatCols locates a walked record's float columns in its payload.
+type floatCols struct {
+	features int    // detect.FeatureDim columns of len(Times) values each
+	flights  [3]int // gps, honest, all: n dists, then n times
+	nFlights [3]int
+	pauses   int
+	nPauses  int
 }
 
 // decodeRecord decodes and validates one record payload against the
-// header's kind count. The feature dimension is fixed at
-// detect.FeatureDim (the reader rejects headers with any other value).
+// header's kind count: walkRecord makes every check, then the float
+// columns are read from where it found them. The feature dimension is
+// fixed at detect.FeatureDim (the reader rejects headers with any other
+// value).
 func decodeRecord(data []byte, kindCount int) (*Record, error) {
-	d := recDec{data: data}
 	r := &Record{}
+	var at floatCols
+	if _, err := walkRecord(data, kindCount, r, &at); err != nil {
+		return nil, err
+	}
+	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[off:])) }
+	if n := len(r.Times); n > 0 {
+		r.Features = make([][detect.FeatureDim]float64, n)
+		for j := 0; j < detect.FeatureDim; j++ {
+			for i := range r.Features {
+				r.Features[i][j] = f64(at.features + 8*(j*n+i))
+			}
+		}
+	}
+	// Empty columns stay nil: decoded records are in canonical form (see
+	// NewRecord).
+	flights := func(b int) []levy.Flight {
+		n, off := at.nFlights[b], at.flights[b]
+		if n == 0 {
+			return nil
+		}
+		out := make([]levy.Flight, n)
+		for i := range out {
+			out[i] = levy.Flight{Dist: f64(off + 8*i), Time: f64(off + 8*(n+i))}
+		}
+		return out
+	}
+	r.GPSFlights, r.HonestFlights, r.AllFlights = flights(0), flights(1), flights(2)
+	if at.nPauses > 0 {
+		r.Pauses = make([]float64, at.nPauses)
+		for i := range r.Pauses {
+			r.Pauses[i] = f64(at.pauses + 8*i)
+		}
+	}
+	return r, nil
+}
+
+// walkRecord reads one record payload and makes every check a stored
+// record must pass, in payload order: well-formed varints, strings and
+// labels, float columns present in full, no trailing bytes, then the
+// checks of Record.validate. It steps over the float columns, recording
+// in at where they are, and fills r's scalar fields and its Times,
+// Kinds and Truth columns, reusing their storage; Features, the flight
+// blocks and Pauses are left nil. canonical reports whether the payload
+// is exactly what encodeRecord writes for the record it holds, so its
+// bytes can be carried as-is.
+func walkRecord(data []byte, kindCount int, r *Record, at *floatCols) (canonical bool, err error) {
+	d := recDec{data: data}
 	r.UserID = int(d.varint())
 	r.Profile.Friends = int(d.varint())
 	r.Profile.Badges = int(d.varint())
@@ -279,10 +344,18 @@ func decodeRecord(data []byte, kindCount int) (*Record, error) {
 	r.Profile.CheckinsPerDay = d.f64()
 	r.Visits = int(d.uvarint())
 	r.Missing = int(d.uvarint())
+	r.Times, r.Kinds, r.Truth = r.Times[:0], r.Kinds[:0], r.Truth[:0]
+	r.Features, r.GPSFlights, r.HonestFlights, r.AllFlights, r.Pauses = nil, nil, nil, nil, nil
 
 	nCk := d.uvarint()
 	if d.err == nil && nCk > 0 {
-		r.Times = make([]int64, 0, min(nCk, allocHint))
+		// A valid checkin takes at least minCheckinBytes, so the bytes
+		// left bound the preallocation, not the untrusted count.
+		if hint := int(min(nCk, uint64(len(data)-d.pos)/minCheckinBytes)); cap(r.Times) < hint {
+			r.Times = make([]int64, 0, hint)
+			r.Kinds = make([]classify.Kind, 0, hint)
+			r.Truth = make([]trace.Label, 0, hint)
+		}
 		var t int64
 		for i := uint64(0); i < nCk && d.err == nil; i++ {
 			if i == 0 {
@@ -292,48 +365,40 @@ func decodeRecord(data []byte, kindCount int) (*Record, error) {
 			}
 			r.Times = append(r.Times, t)
 		}
-		r.Kinds = make([]classify.Kind, 0, min(nCk, allocHint))
 		for i := uint64(0); i < nCk && d.err == nil; i++ {
 			r.Kinds = append(r.Kinds, classify.Kind(d.byte()))
 		}
-		r.Truth = make([]trace.Label, 0, min(nCk, allocHint))
 		for i := uint64(0); i < nCk && d.err == nil; i++ {
 			r.Truth = append(r.Truth, d.label())
 		}
 		if d.err == nil {
-			// The columns are fixed-width, so bound the allocation by the
-			// bytes actually present before trusting the untrusted count.
+			// The columns are fixed-width: check the bytes are all there.
 			if need := nCk * detect.FeatureDim * 8; uint64(len(d.data)-d.pos) < need {
 				d.fail("outcome: record: %d checkins claim %d feature bytes, %d remain",
 					nCk, need, len(d.data)-d.pos)
 			} else {
-				r.Features = make([][detect.FeatureDim]float64, nCk)
-				for j := 0; j < detect.FeatureDim && d.err == nil; j++ {
-					for i := uint64(0); i < nCk && d.err == nil; i++ {
-						r.Features[i][j] = d.f64()
-					}
-				}
+				at.features = d.pos
+				d.pos += int(need)
 			}
 		}
 	}
-	r.GPSFlights = d.flights()
-	r.HonestFlights = d.flights()
-	r.AllFlights = d.flights()
-	nP := d.uvarint()
-	if d.err == nil && nP > 0 {
-		r.Pauses = make([]float64, 0, min(nP, allocHint))
-		for i := uint64(0); i < nP && d.err == nil; i++ {
-			r.Pauses = append(r.Pauses, d.f64())
-		}
+	for b := range at.flights {
+		n := d.uvarint()
+		at.flights[b], at.nFlights[b] = d.pos, int(n)
+		d.skipF64s(n) // dists
+		d.skipF64s(n) // times
 	}
+	nP := d.uvarint()
+	at.pauses, at.nPauses = d.pos, int(nP)
+	d.skipF64s(nP)
 	if d.err != nil {
-		return nil, d.err
+		return false, d.err
 	}
 	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.data)-d.pos)
+		return false, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.data)-d.pos)
 	}
-	if err := r.validate(kindCount); err != nil {
-		return nil, err
+	if err := r.check(kindCount); err != nil {
+		return false, err
 	}
-	return r, nil
+	return !d.loose, nil
 }

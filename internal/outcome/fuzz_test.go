@@ -1,11 +1,14 @@
 package outcome
 
 // Native fuzz target for the GSO1 record decoder: arbitrary bytes must
-// decode cleanly or fail with an error — never panic, never allocate
-// unboundedly — and a successful decode must re-encode to a payload
-// that decodes to the same record (the codec's fixed point).
+// decode as the reference decoder does (the same record or the same
+// error) — never panic, never allocate unboundedly — a successful
+// decode must re-encode to a payload that decodes to the same record
+// (the codec's fixed point), and the walk must call the payload
+// canonical exactly when that re-encoding reproduces it.
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -59,14 +62,30 @@ func FuzzRecordDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data, classify.NumKinds)
+		ref, refErr := referenceDecodeRecord(data, classify.NumKinds)
+		if errText(err) != errText(refErr) {
+			t.Fatalf("decode error %q, reference error %q", errText(err), errText(refErr))
+		}
 		if err != nil {
 			return // rejected, fine
+		}
+		if !hasNaN(rec) && !reflect.DeepEqual(rec, ref) {
+			t.Fatalf("decode differs from the reference:\n got %+v\nwant %+v", rec, ref)
 		}
 		// A record the decoder accepted must re-encode and decode to an
 		// identical record (NaN payloads break DeepEqual, so skip those).
 		var enc recEnc
 		if err := encodeRecord(&enc, rec); err != nil {
 			t.Fatalf("accepted record failed to re-encode: %v", err)
+		}
+		// The walk calls a payload canonical exactly when re-encoding
+		// reproduces it, which is what lets Append copy it verbatim.
+		canonical, err := walkRecord(data, classify.NumKinds, &Record{}, &floatCols{})
+		if err != nil {
+			t.Fatalf("decoded payload fails the walk: %v", err)
+		}
+		if same := bytes.Equal(enc.buf, data); canonical != same {
+			t.Fatalf("walk says canonical=%v, re-encoding reproduces the payload: %v", canonical, same)
 		}
 		again, err := decodeRecord(enc.buf, classify.NumKinds)
 		if err != nil {

@@ -237,6 +237,13 @@ func (r *Record) validate(kindCount int) error {
 	if len(r.Kinds) != n || len(r.Truth) != n || (n > 0 && len(r.Features) != n) {
 		return fmt.Errorf("outcome: user %d: ragged checkin columns", r.UserID)
 	}
+	return r.check(kindCount)
+}
+
+// check is validate without the column-length test, for records whose
+// columns were read off one checkin count (walkRecord leaves Features
+// unread): times in order, kinds in range, visits accounted.
+func (r *Record) check(kindCount int) error {
 	for i, t := range r.Times {
 		if i > 0 && t < r.Times[i-1] {
 			return fmt.Errorf("outcome: user %d: checkin %d out of order", r.UserID, i)

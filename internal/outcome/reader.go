@@ -81,6 +81,24 @@ func (rd *Reader) Users() int { return int(rd.users) }
 // the trailer has been read and verified. The record is freshly
 // allocated and owned by the caller.
 func (rd *Reader) Next() (*Record, error) {
+	buf, err := rd.payload()
+	if err != nil {
+		return nil, err // io.EOF passes through untouched
+	}
+	rec, err := decodeRecord(buf, rd.kindCount)
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.admit(rec.UserID); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// payload reads the next record's payload into the reader's buffer
+// (valid until the next call), or returns io.EOF once the trailer has
+// been read and verified.
+func (rd *Reader) payload() ([]byte, error) {
 	if rd.done {
 		return nil, io.EOF
 	}
@@ -103,23 +121,47 @@ func (rd *Reader) Next() (*Record, error) {
 	if recLen > maxRecordBytes {
 		return nil, fmt.Errorf("outcome: record length %d exceeds limit", recLen)
 	}
-	if uint64(cap(rd.buf)) < recLen {
-		rd.buf = make([]byte, recLen)
-	}
-	buf := rd.buf[:recLen]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
+	rd.buf, err = readFull(rd.r, rd.buf[:0], int(recLen))
+	if err != nil {
 		return nil, fmt.Errorf("outcome: read record: %w", noEOF(err))
 	}
-	rec, err := decodeRecord(buf, rd.kindCount)
-	if err != nil {
-		return nil, err
+	return rd.buf, nil
+}
+
+// admit counts a decoded record, enforcing strictly increasing user
+// IDs.
+func (rd *Reader) admit(id int) error {
+	if rd.users > 0 && id <= rd.prevID {
+		return fmt.Errorf("outcome: user %d out of canonical order (after %d)", id, rd.prevID)
 	}
-	if rd.users > 0 && rec.UserID <= rd.prevID {
-		return nil, fmt.Errorf("outcome: user %d out of canonical order (after %d)", rec.UserID, rd.prevID)
-	}
-	rd.prevID = rec.UserID
+	rd.prevID = id
 	rd.users++
-	return rec, nil
+	return nil
+}
+
+// readFull reads n bytes from r into buf's storage and returns the
+// filled slice. Past buf's capacity the buffer grows in doubling steps
+// of at least readGrowBytes as bytes arrive, so a forged length prefix
+// costs memory in proportion to the bytes actually behind it.
+func readFull(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), readGrowBytes)))
+			copy(grown, buf)
+			buf = grown
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // LogFile is a Reader bound to an opened log file.
@@ -182,8 +224,8 @@ func readString(br *bufio.Reader) (string, error) {
 	if n > maxStringBytes {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf, err := readFull(br, nil, int(n))
+	if err != nil {
 		return "", noEOF(err)
 	}
 	return string(buf), nil

@@ -79,14 +79,23 @@ func (w *Writer) Write(rec *Record) error {
 	if err := encodeRecord(&w.enc, rec); err != nil {
 		return err
 	}
-	if len(w.enc.buf) > maxRecordBytes {
-		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", rec.UserID, maxRecordBytes)
+	return w.writeRaw(rec.UserID, w.enc.buf)
+}
+
+// writeRaw spools one record of user id already in its canonical
+// encoding (what encodeRecord writes for a validated record).
+func (w *Writer) writeRaw(id int, payload []byte) error {
+	if w.spool == nil {
+		return fmt.Errorf("outcome: write: log writer closed")
 	}
-	if _, err := w.bw.Write(w.enc.buf); err != nil {
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", id, maxRecordBytes)
+	}
+	if _, err := w.bw.Write(payload); err != nil {
 		return fmt.Errorf("outcome: spool record: %w", err)
 	}
-	size := int32(len(w.enc.buf))
-	w.index = append(w.index, recIdx{id: rec.UserID, off: w.off, size: size})
+	size := int32(len(payload))
+	w.index = append(w.index, recIdx{id: id, off: w.off, size: size})
 	w.off += int64(size)
 	if size > w.maxSize {
 		w.maxSize = size

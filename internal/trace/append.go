@@ -14,7 +14,7 @@ package trace
 // Folding is deterministic: a user's effective trace is the
 // concatenation of its frames in shard-list order (base first, then
 // delta shards in generation order), with Days and Profile taken from
-// the last frame. FoldUser enforces the chronological seams, so a
+// the last frame. checkSeams enforces the chronological seams, so a
 // folded set decodes to exactly the users a from-scratch corpus of the
 // concatenated data would contain.
 
@@ -33,21 +33,23 @@ import (
 
 // FoldUser merges a user's base frame with the delta frames appended
 // for it, in generation order. Each delta's GPS fixes and checkins are
-// concatenated after the accumulated trace (the chronological seam is
-// enforced: a delta may not begin before the previous frame ended), and
-// Days/Profile come from the last delta. The inputs are not mutated;
-// with no deltas the base is returned as-is.
+// concatenated after the accumulated trace (checkSeams enforces the
+// chronological seam: a delta may not begin before the previous frame
+// ended), and Days/Profile come from the last delta. The inputs are not
+// mutated; with no deltas the base is returned as-is.
 func FoldUser(base *User, deltas []*User) (*User, error) {
 	if len(deltas) == 0 {
 		return base, nil
 	}
+	spans := make([]frameSpan, len(deltas))
 	nGPS, nCk := len(base.GPS), len(base.Checkins)
-	for _, d := range deltas {
-		if d.ID != base.ID {
-			return nil, fmt.Errorf("trace: fold user %d: delta frame for user %d", base.ID, d.ID)
-		}
+	for i, d := range deltas {
+		spans[i] = spanOf(d)
 		nGPS += len(d.GPS)
 		nCk += len(d.Checkins)
+	}
+	if err := checkSeams(spanOf(base), spans); err != nil {
+		return nil, err
 	}
 	out := &User{
 		ID:       base.ID,
@@ -59,18 +61,60 @@ func FoldUser(base *User, deltas []*User) (*User, error) {
 	out.GPS = append(out.GPS, base.GPS...)
 	out.Checkins = append(out.Checkins, base.Checkins...)
 	for _, d := range deltas {
-		if len(d.GPS) > 0 && len(out.GPS) > 0 && d.GPS[0].T < out.GPS[len(out.GPS)-1].T {
-			return nil, fmt.Errorf("trace: fold user %d: delta GPS starts at %d, before trace end %d",
-				base.ID, d.GPS[0].T, out.GPS[len(out.GPS)-1].T)
-		}
-		if len(d.Checkins) > 0 && len(out.Checkins) > 0 && d.Checkins[0].T < out.Checkins[len(out.Checkins)-1].T {
-			return nil, fmt.Errorf("trace: fold user %d: delta checkins start at %d, before trace end %d",
-				base.ID, d.Checkins[0].T, out.Checkins[len(out.Checkins)-1].T)
-		}
 		out.GPS = append(out.GPS, d.GPS...)
 		out.Checkins = append(out.Checkins, d.Checkins...)
 	}
 	return out, nil
+}
+
+// frameSpan is all the seam rule reads of one frame: its user ID and
+// the first and last times of its GPS fixes and of its checkins.
+type frameSpan struct {
+	id                int
+	gps, ck           bool // the frame has fixes / checkins
+	gpsFirst, gpsLast int64
+	ckFirst, ckLast   int64
+}
+
+func spanOf(u *User) frameSpan {
+	s := frameSpan{id: u.ID, gps: len(u.GPS) > 0, ck: len(u.Checkins) > 0}
+	if s.gps {
+		s.gpsFirst, s.gpsLast = u.GPS[0].T, u.GPS[len(u.GPS)-1].T
+	}
+	if s.ck {
+		s.ckFirst, s.ckLast = u.Checkins[0].T, u.Checkins[len(u.Checkins)-1].T
+	}
+	return s
+}
+
+// checkSeams is the fold seam rule for a base frame and its deltas in
+// generation order: every delta belongs to the base's user, and each
+// delta's fixes and checkins start no earlier than the accumulated
+// trace's last fix and last checkin.
+func checkSeams(base frameSpan, deltas []frameSpan) error {
+	for _, d := range deltas {
+		if d.id != base.id {
+			return fmt.Errorf("trace: fold user %d: delta frame for user %d", base.id, d.id)
+		}
+	}
+	tail := base
+	for _, d := range deltas {
+		if d.gps && tail.gps && d.gpsFirst < tail.gpsLast {
+			return fmt.Errorf("trace: fold user %d: delta GPS starts at %d, before trace end %d",
+				base.id, d.gpsFirst, tail.gpsLast)
+		}
+		if d.ck && tail.ck && d.ckFirst < tail.ckLast {
+			return fmt.Errorf("trace: fold user %d: delta checkins start at %d, before trace end %d",
+				base.id, d.ckFirst, tail.ckLast)
+		}
+		if d.gps {
+			tail.gps, tail.gpsLast = true, d.gpsLast
+		}
+		if d.ck {
+			tail.ck, tail.ckLast = true, d.ckLast
+		}
+	}
+	return nil
 }
 
 // DeltaSet is a generational shard set's delta content, fully decoded
@@ -290,11 +334,13 @@ func (aw *AppendWriter) AppendStream(r io.Reader) error {
 	}
 }
 
-// scanExisting walks every existing shard once, collecting the decoded
-// frames of the buffered users (cheap ID peek per frame; only matching
-// frames are decoded) in shard-list order.
-func (aw *AppendWriter) scanExisting() (map[int][]*User, error) {
-	parts := make(map[int][]*User, len(aw.byID))
+// scanExisting walks every existing shard once, collecting the seam
+// spans of the buffered users' frames in shard-list order. Only
+// matching frames are decoded (a cheap ID peek skips the rest), and
+// fully, so a corrupt frame fails the append; each decoded record goes
+// straight back to the pool once its span is taken.
+func (aw *AppendWriter) scanExisting() (map[int][]frameSpan, error) {
+	parts := make(map[int][]frameSpan, len(aw.byID))
 	for i := range aw.ss.Manifest.Shards {
 		r, err := aw.ss.OpenShard(i)
 		if err != nil {
@@ -324,7 +370,8 @@ func (aw *AppendWriter) scanExisting() (map[int][]*User, error) {
 				r.Close()
 				return nil, err
 			}
-			parts[id] = append(parts[id], u)
+			parts[id] = append(parts[id], spanOf(u))
+			r.RecycleUser(u)
 		}
 		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("trace: append: close shard: %w", err)
@@ -333,8 +380,9 @@ func (aw *AppendWriter) scanExisting() (map[int][]*User, error) {
 	return parts, nil
 }
 
-// Close applies the append: every buffered user's fold chain is
-// verified against the existing shards (chronological seams), the delta
+// Close applies the append: every buffered user's seams are checked
+// against the spans of its existing frames (checkSeams, the rule
+// FoldUser applies, without building the folded trace), the delta
 // shard is written next to the others, and the manifest is atomically
 // replaced with the next generation. On any error the set on disk is
 // left untouched.
@@ -358,7 +406,8 @@ func (aw *AppendWriter) Close() error {
 			newUsers++
 			continue
 		}
-		if _, err := FoldUser(chain[0], append(chain[1:], u)); err != nil {
+		deltas := append(chain[1:len(chain):len(chain)], spanOf(u))
+		if err := checkSeams(chain[0], deltas); err != nil {
 			return fmt.Errorf("trace: append: %w", err)
 		}
 	}

@@ -495,6 +495,23 @@ func (f Frame) UserID() (int, error) {
 	return int(id), nil
 }
 
+// Detach returns a frame holding its own copy of f's bytes, in a
+// buffer from the pool, so it can be decoded after its reader is
+// closed: a frame of a mapped shard is a slice of the mapping. A frame
+// that already owns its buffer is returned as it is.
+func (f Frame) Detach() Frame {
+	if f.buf != nil || f.user != nil {
+		return f
+	}
+	bp, _ := frameBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	data := append((*bp)[:0], f.data...)
+	*bp = data[:0]
+	return Frame{data: data, buf: bp}
+}
+
 // Recycle returns an undecoded frame's buffer to the buffer pool
 // without decoding it — the counterpart of DecodeFrame for callers that
 // peek (Frame.UserID) and skip frames. The frame must not be used

@@ -584,6 +584,8 @@ func (r *ShardReader) Next() (*User, error) {
 }
 
 // Close releases the shard's file handles. Safe to call more than once.
+// DecodeFrame and the recycling methods stay usable afterwards, for
+// frames that own their bytes (see Frame.Detach).
 func (r *ShardReader) Close() error {
 	var first error
 	for _, c := range r.closers {

@@ -120,16 +120,18 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	}
 	sort.Ints(touched)
 
-	// Scan the earlier shards once, decoding only the touched users'
-	// frames (everything else is a cheap ID peek). A touched user's home
-	// shard — the one its stats live in — is the first shard holding a
-	// frame of it, exactly the cold path's attribution rule. chains[i]
-	// holds the frames of touched[i].
+	// Scan the earlier shards once, keeping only the touched users'
+	// frames, undecoded (everything else is a cheap ID peek); the fold
+	// pass decodes them on the worker pool. A touched user's home shard —
+	// the one its stats live in — is the first shard holding a frame of
+	// it, exactly the cold path's attribution rule. chains[i] holds the
+	// frames of touched[i]. Kept frames are detached from the shard's
+	// mapping, so each shard is closed (and unmapped) once scanned.
 	pos := make(map[int]int, len(touched))
 	for i, id := range touched {
 		pos[id] = i
 	}
-	chains := make([][]*trace.User, len(touched))
+	chains := make([][]heldFrame, len(touched))
 	homeShard := make(map[int]int, len(touched))
 	base := false
 	for i := 0; i < old; i++ {
@@ -158,15 +160,10 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 				r.Recycle(f)
 				continue
 			}
-			u, err := r.DecodeFrame(f)
-			if err != nil {
-				r.Close()
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
 			if _, ok := homeShard[id]; !ok {
 				homeShard[id] = i
 			}
-			chains[at] = append(chains[at], u)
+			chains[at] = append(chains[at], heldFrame{r: r, f: f.Detach()})
 		}
 		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
@@ -201,17 +198,17 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		}
 		p.fold[i] = foldItem{id: id, slot: home, replaces: existing}
 	}
-	// Each fold drops the frames it consumed (each worker owns its own
-	// index), so the update holds the traces of the users in flight
-	// rather than of every touched user.
+	// Each fold decodes its user's base frames and drops them once
+	// folded (each worker owns its own index), so the update holds the
+	// traces of the users in flight rather than of every touched user.
 	p.foldUser = func(i int) (*trace.User, error) {
 		id := touched[i]
-		if chain := chains[i]; len(chain) > 0 {
-			chains[i] = nil
-			deltas := append(append([]*trace.User(nil), chain[1:]...), newFrames[id]...)
-			return trace.FoldUser(chain[0], deltas)
+		chain := chains[i]
+		if len(chain) == 0 {
+			return trace.FoldUser(newFrames[id][0], newFrames[id][1:])
 		}
-		return trace.FoldUser(newFrames[id][0], newFrames[id][1:])
+		chains[i] = nil
+		return foldFrames(chain, newFrames[id])
 	}
 	res, err := p.run(opts)
 	if err != nil {
@@ -229,4 +226,39 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 			res.Users, ss.Manifest.Users)
 	}
 	return res, nil
+}
+
+// heldFrame is an undecoded base frame of a touched user with the
+// (closed) reader that fetched it, which decodes it.
+type heldFrame struct {
+	r *trace.ShardReader
+	f trace.Frame
+}
+
+// foldFrames decodes a touched user's base frames in order and folds
+// its delta frames onto them. The decoded base records go back to the
+// pool once FoldUser has copied them.
+func foldFrames(chain []heldFrame, deltas []*trace.User) (*trace.User, error) {
+	recs := make([]*trace.User, 0, len(chain)+len(deltas))
+	recycle := func() {
+		for _, u := range recs {
+			chain[0].r.RecycleUser(u)
+		}
+	}
+	for j, h := range chain {
+		u, err := h.r.DecodeFrame(h.f)
+		if err != nil {
+			for _, rest := range chain[j+1:] {
+				rest.r.Recycle(rest.f)
+			}
+			recycle()
+			return nil, err
+		}
+		recs = append(recs, u)
+	}
+	u, err := trace.FoldUser(recs[0], append(recs, deltas...)[1:])
+	if u != recs[0] { // FoldUser copied the base records
+		recycle()
+	}
+	return u, err
 }
