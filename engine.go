@@ -51,7 +51,8 @@ type plan struct {
 	prior string
 	// fold lists users to fold and validate once the sources are
 	// drained, skipping users a source already validated. foldUser(i)
-	// builds fold[i]'s trace, once per index, on any worker.
+	// builds fold[i]'s trace, once per index, on any worker; the engine
+	// owns the trace's GPS buffer and recycles it once validated.
 	fold     []foldItem
 	foldUser func(i int) (*trace.User, error)
 	// newUsers, when non-nil, is per slot the number of users a delta
@@ -357,7 +358,9 @@ func (e *engine) foldPass() error {
 			return outcomeCls{}, err
 		}
 		oc, err := e.process(u, sp, false)
-		u.GPS = nil // accounting reads only checkins, visits and the match
+		// Accounting reads only checkins, visits and the match, so the
+		// fixes' buffer goes back to the pool for the next fold or decode.
+		trace.RecycleGPS(u)
 		return oc, err
 	})
 	if err != nil {

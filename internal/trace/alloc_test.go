@@ -9,8 +9,10 @@ package trace
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 // TestDecodeFrameSteadyStateAllocs pins the hot-path allocation budget:
@@ -69,5 +71,82 @@ func TestDecodeFrameSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state DecodeFrame: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestFoldSteadyStateAllocs pins FoldUser's allocation budget: once the
+// record pool holds a record with room for the folded trace, a fold
+// fills it in place, so what it allocates does not grow with the GPS
+// trace. The budget is far below one trace; both ways of handing the
+// output back (the whole record, or its fixes alone while the checkins
+// are still read) stay within it.
+func TestFoldSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	ds := shardTestDataset(4, 1)
+	base := ds.Users[0]
+	for k := int64(60); k < 2000; k++ {
+		base.GPS = append(base.GPS, GPSPoint{T: k * 60, Loc: base.GPS[0].Loc})
+	}
+	delta := &User{ID: base.ID, Days: 2, GPS: GPSTrace{{T: 1 << 30, Loc: base.GPS[0].Loc}}}
+	var sr StreamReader
+	for name, recycle := range map[string]func(*User){"RecycleUser": sr.RecycleUser, "RecycleGPS": RecycleGPS} {
+		fold := func() {
+			u, err := FoldUser(base, []*User{delta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(u.GPS) != len(base.GPS)+1 || len(u.Checkins) != len(base.Checkins) {
+				t.Fatalf("%s: folded %d fixes, %d checkins", name, len(u.GPS), len(u.Checkins))
+			}
+			recycle(u)
+		}
+		fold() // warm the pool
+		var before, after runtime.MemStats
+		const runs = 50
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			fold()
+		}
+		runtime.ReadMemStats(&after)
+		traceBytes := uint64(len(base.GPS)) * uint64(unsafe.Sizeof(GPSPoint{}))
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per fold of a %d-byte trace", name, per, traceBytes)
+		if per > traceBytes/64 {
+			t.Errorf("%s: steady-state FoldUser allocates %d bytes per fold, want <= %d (a %d-byte trace / 64)",
+				name, per, traceBytes/64, traceBytes)
+		}
+	}
+}
+
+// TestOpenShardSteadyStateAllocs pins the per-set header check: the
+// first open of a shard set parses and checks the POI table, and every
+// later open of a shard with the same header shares it, allocating a
+// small constant rather than a string and a map entry per venue.
+func TestOpenShardSteadyStateAllocs(t *testing.T) {
+	ds := shardTestDataset(2000, 4)
+	defer SetMmapDisabled(SetMmapDisabled(false))
+	for _, mapped := range []bool{true, false} {
+		SetMmapDisabled(!mapped)
+		ss, _ := headerSet(t, ds, 2, false)
+		open := func(i int) {
+			r, err := ss.OpenShard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}
+		first := testing.AllocsPerRun(1, func() {
+			ss.hdr.Store(nil)
+			open(0)
+		})
+		later := testing.AllocsPerRun(20, func() { open(1) })
+		t.Logf("mapped=%v: first open %v allocations, later opens %v", mapped, first, later)
+		if later > 32 {
+			t.Errorf("mapped=%v: a later OpenShard allocates %v times, want <= 32 (the first: %v)", mapped, later, first)
+		}
+		if first < 2000 {
+			t.Errorf("mapped=%v: the first OpenShard allocates %v times, expected a parse of 2000 venues", mapped, first)
+		}
 	}
 }

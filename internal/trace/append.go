@@ -19,6 +19,7 @@ package trace
 // concatenated data would contain.
 
 import (
+	"bufio"
 	"compress/gzip"
 	"crypto/sha256"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"geosocial/internal/par"
 	"geosocial/internal/poi"
 )
 
@@ -36,7 +38,10 @@ import (
 // concatenated after the accumulated trace (checkSeams enforces the
 // chronological seam: a delta may not begin before the previous frame
 // ended), and Days/Profile come from the last delta. The inputs are not
-// mutated; with no deltas the base is returned as-is.
+// mutated; with no deltas the base is returned as-is. Otherwise the
+// output is a record from the decode pool, filled in its own buffers
+// (reused when large enough), so a consumer that is done with it hands
+// it back with RecycleUser, or its GPS buffer alone with RecycleGPS.
 func FoldUser(base *User, deltas []*User) (*User, error) {
 	if len(deltas) == 0 {
 		return base, nil
@@ -51,15 +56,21 @@ func FoldUser(base *User, deltas []*User) (*User, error) {
 	if err := checkSeams(spanOf(base), spans); err != nil {
 		return nil, err
 	}
-	out := &User{
-		ID:       base.ID,
-		Profile:  deltas[len(deltas)-1].Profile,
-		Days:     deltas[len(deltas)-1].Days,
-		GPS:      make(GPSTrace, 0, nGPS),
-		Checkins: make(CheckinTrace, 0, nCk),
+	out, _ := userPool.Get().(*User)
+	if out == nil {
+		out = &User{}
 	}
-	out.GPS = append(out.GPS, base.GPS...)
-	out.Checkins = append(out.Checkins, base.Checkins...)
+	out.ID = base.ID
+	out.Profile = deltas[len(deltas)-1].Profile
+	out.Days = deltas[len(deltas)-1].Days
+	if cap(out.GPS) < nGPS {
+		out.GPS = make(GPSTrace, 0, nGPS)
+	}
+	if cap(out.Checkins) < nCk {
+		out.Checkins = make(CheckinTrace, 0, nCk)
+	}
+	out.GPS = append(out.GPS[:0], base.GPS...)
+	out.Checkins = append(out.Checkins[:0], base.Checkins...)
 	for _, d := range deltas {
 		out.GPS = append(out.GPS, d.GPS...)
 		out.Checkins = append(out.Checkins, d.Checkins...)
@@ -308,17 +319,23 @@ func (aw *AppendWriter) WriteUser(u *User) error {
 // AppendStream feeds a whole GSB1 delta stream into the writer after
 // verifying its header matches the set (dataset name and POI-table
 // checksum) — the wire form of an append, as accepted by the serve
-// layer's append endpoint.
+// layer's append endpoint. A header byte-equal to the set's verified one
+// (see OpenShard) passes without a parse.
 func (aw *AppendWriter) AppendStream(r io.Reader) error {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return err
-	}
-	if sr.Name() != aw.ss.Manifest.Name {
-		return fmt.Errorf("trace: append: stream is for dataset %q, set is %q", sr.Name(), aw.ss.Manifest.Name)
-	}
-	if sum := POIChecksum(sr.POIs()); sum != aw.ss.Manifest.POIChecksum {
-		return fmt.Errorf("trace: append: stream POI checksum %s, set has %s", sum, aw.ss.Manifest.POIChecksum)
+	h := aw.ss.hdr.Load()
+	br := bufio.NewReaderSize(r, h.bufSize())
+	sr, checked := h.reader(br)
+	if !checked {
+		var err error
+		if sr, err = NewStreamReader(br); err != nil {
+			return err
+		}
+		if sr.Name() != aw.ss.Manifest.Name {
+			return fmt.Errorf("trace: append: stream is for dataset %q, set is %q", sr.Name(), aw.ss.Manifest.Name)
+		}
+		if sum := POIChecksum(sr.POIs()); sum != aw.ss.Manifest.POIChecksum {
+			return fmt.Errorf("trace: append: stream POI checksum %s, set has %s", sum, aw.ss.Manifest.POIChecksum)
+		}
 	}
 	for {
 		u, err := sr.Next()
@@ -337,41 +354,61 @@ func (aw *AppendWriter) AppendStream(r io.Reader) error {
 // scanExisting walks every existing shard once, collecting the seam
 // spans of the buffered users' frames in shard-list order. Only
 // matching frames are decoded (a cheap ID peek skips the rest), and
-// fully, so a corrupt frame fails the append; each decoded record goes
-// straight back to the pool once its span is taken.
+// fully, so a corrupt frame fails the append. Each shard's matching
+// frames decode on the worker pool before the shard is closed, so a
+// mapped frame needs no copy and one shard's frames are held at a time;
+// each decoded record goes straight back to the pool once its span is
+// taken. The error is the serial scan's: the first failure in shard
+// order, from a decode or from the scan.
 func (aw *AppendWriter) scanExisting() (map[int][]frameSpan, error) {
 	parts := make(map[int][]frameSpan, len(aw.byID))
+	var frames []Frame
 	for i := range aw.ss.Manifest.Shards {
 		r, err := aw.ss.OpenShard(i)
 		if err != nil {
 			return nil, err
 		}
+		frames = frames[:0]
+		var scanErr error
 		for {
 			f, err := r.NextFrame()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				r.Close()
-				return nil, err
+				scanErr = err
+				break
 			}
 			id, err := f.UserID()
 			if err != nil {
 				r.Recycle(f)
-				r.Close()
-				return nil, err
+				scanErr = err
+				break
 			}
 			if _, touched := aw.byID[id]; !touched {
 				r.Recycle(f)
 				continue
 			}
-			u, err := r.DecodeFrame(f)
+			frames = append(frames, f)
+		}
+		spans, err := par.Map(0, len(frames), func(k int) (frameSpan, error) {
+			u, err := r.DecodeFrame(frames[k])
 			if err != nil {
-				r.Close()
-				return nil, err
+				return frameSpan{}, err
 			}
-			parts[id] = append(parts[id], spanOf(u))
+			s := spanOf(u)
 			r.RecycleUser(u)
+			return s, nil
+		})
+		if err == nil {
+			err = scanErr
+		}
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		for _, s := range spans {
+			parts[s.id] = append(parts[s.id], s)
 		}
 		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("trace: append: close shard: %w", err)

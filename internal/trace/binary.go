@@ -292,24 +292,37 @@ func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, e
 		seen:    make(map[int]struct{}),
 		numPOIs: len(pois),
 	}
-	if _, err := sw.w.Write(binaryMagic[:]); err != nil {
+	hdr := appendHeader(nil, name, encodePOITable(nil, pois))
+	if _, err := sw.w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("trace: write binary header: %w", err)
 	}
-	var hdr frameEnc
-	hdr.uvarint(binaryVersion)
-	hdr.str(name)
-	hdr.uvarint(uint64(len(pois)))
-	for _, p := range pois {
-		hdr.str(p.Name)
-		hdr.varint(int64(p.Category))
-		hdr.latlon(p.Loc)
-		hdr.f64(p.Popularity)
-	}
-	if _, err := sw.w.Write(hdr.buf); err != nil {
-		return nil, fmt.Errorf("trace: write binary header: %w", err)
-	}
-	sw.bytes = int64(len(binaryMagic) + len(hdr.buf))
+	sw.bytes = int64(len(hdr))
 	return sw, nil
+}
+
+// encodePOITable appends the header encoding of a POI table to buf: the
+// POI count, then per POI its name, category, E7 location and
+// popularity. It is the one definition of the table's byte layout: the
+// stream header, POIChecksum and the shard set's header check all use it.
+func encodePOITable(buf []byte, pois []poi.POI) []byte {
+	e := frameEnc{buf: buf}
+	e.uvarint(uint64(len(pois)))
+	for _, p := range pois {
+		e.str(p.Name)
+		e.varint(int64(p.Category))
+		e.latlon(p.Loc)
+		e.f64(p.Popularity)
+	}
+	return e.buf
+}
+
+// appendHeader appends a whole stream header to buf: magic, version,
+// dataset name and the encoded POI table.
+func appendHeader(buf []byte, name string, table []byte) []byte {
+	e := frameEnc{buf: append(buf, binaryMagic[:]...)}
+	e.uvarint(binaryVersion)
+	e.str(name)
+	return append(e.buf, table...)
 }
 
 // Users returns the number of user frames written so far.
@@ -625,6 +638,57 @@ func NewStreamReaderBytes(data []byte) (*StreamReader, error) {
 	return sr, nil
 }
 
+// checkedHeader is a stream header that has passed every check a
+// shard set makes (parse, POI-table validation, dataset name, POI
+// checksum): its canonical bytes, magic through POI table, and what
+// they decode to. A stream whose header is byte-equal to raw decodes to
+// exactly this name and table, so its reader can share them, read-only,
+// instead of parsing and checking the table again.
+type checkedHeader struct {
+	raw   []byte
+	name  string
+	pois  []poi.POI
+	names map[string]string
+}
+
+// newCheckedHeader records sr's header, once checked, in the canonical
+// encoding of its name and of table (sr's POI table, encoded).
+func newCheckedHeader(sr *StreamReader, table []byte) *checkedHeader {
+	return &checkedHeader{raw: appendHeader(nil, sr.name, table), name: sr.name, pois: sr.pois, names: sr.names}
+}
+
+// bufSize is the read-buffer size that lets Peek see the whole header.
+func (h *checkedHeader) bufSize() int {
+	if h == nil {
+		return 1 << 16
+	}
+	return max(1<<16, len(h.raw))
+}
+
+// reader returns a reader positioned after the header when br's stream
+// starts with exactly h's bytes. Otherwise ok is false and nothing has
+// been consumed, so the caller parses the header in full.
+func (h *checkedHeader) reader(br *bufio.Reader) (sr *StreamReader, ok bool) {
+	if h == nil {
+		return nil, false
+	}
+	b, err := br.Peek(len(h.raw))
+	if err != nil || !bytes.Equal(b, h.raw) {
+		return nil, false
+	}
+	br.Discard(len(h.raw))
+	return &StreamReader{r: br, name: h.name, pois: h.pois, names: h.names, seen: make(map[int]struct{})}, true
+}
+
+// readerBytes is reader for an in-memory stream (see
+// NewStreamReaderBytes).
+func (h *checkedHeader) readerBytes(data []byte) (sr *StreamReader, ok bool) {
+	if h == nil || !bytes.HasPrefix(data, h.raw) {
+		return nil, false
+	}
+	return &StreamReader{name: h.name, pois: h.pois, names: h.names, seen: make(map[int]struct{}), mm: data, mmPos: len(h.raw)}, true
+}
+
 // Name returns the dataset name from the header.
 func (sr *StreamReader) Name() string { return sr.name }
 
@@ -764,6 +828,16 @@ func (sr *StreamReader) RecycleUser(u *User) {
 	u.GPS = u.GPS[:0]
 	u.Checkins = u.Checkins[:0]
 	userPool.Put(u)
+}
+
+// RecycleGPS returns u's GPS buffer, as an otherwise empty record, to
+// the record pool and clears u.GPS; the rest of u stays valid. For a
+// consumer done with a user's fixes but not yet with its checkins.
+func RecycleGPS(u *User) {
+	if cap(u.GPS) > 0 {
+		userPool.Put(&User{GPS: u.GPS[:0]})
+	}
+	u.GPS = nil
 }
 
 // Users returns the number of user frames fetched so far.

@@ -209,44 +209,40 @@ type closerFunc func() error
 
 func (c closerFunc) Close() error { return c() }
 
-// openMapped tries the zero-copy path for an open file: if the file is
-// mappable and holds an uncompressed binary dataset, it returns a
-// reader slicing frames straight out of the mapping, plus the unmap
-// closer. Any other outcome (gzip, JSON, unsupported platform or file)
-// reports ok=false with the file offset untouched, and the caller runs
-// the buffered streaming path instead.
-func openMapped(f *os.File) (sr *StreamReader, unmap io.Closer, ok bool, err error) {
+// mapBinary is the zero-copy path for an open file: when the file is
+// mappable and holds an uncompressed binary dataset, it returns the
+// mapping and its unmap closer, and readers slice frames straight out of
+// the mapping. Any other outcome (gzip, JSON, unsupported platform or
+// file) reports ok=false with the file offset untouched, and the caller
+// runs the buffered streaming path instead.
+func mapBinary(f *os.File) (data []byte, unmap io.Closer, ok bool) {
 	if mmapDisabled {
-		return nil, nil, false, nil
+		return nil, nil, false
 	}
-	data, unmapFn, merr := mmapFile(f)
-	if merr != nil {
-		return nil, nil, false, nil
+	data, unmapFn, err := mmapFile(f)
+	if err != nil {
+		return nil, nil, false
 	}
 	if len(data) < len(binaryMagic) || [4]byte(data[:len(binaryMagic)]) != binaryMagic {
 		unmapFn()
-		return nil, nil, false, nil
+		return nil, nil, false
 	}
-	sr, err = NewStreamReaderBytes(data)
-	if err != nil {
-		unmapFn()
-		return nil, nil, false, err
-	}
-	return sr, closerFunc(unmapFn), true, nil
+	return data, closerFunc(unmapFn), true
 }
 
 // sniffReader detects gzip by magic bytes (regardless of file suffix) and
 // returns a buffered reader over the uncompressed stream plus a closer
-// for the gzip layer (nil when not compressed).
-func sniffReader(r io.Reader) (*bufio.Reader, io.Closer, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// for the gzip layer (nil when not compressed). The buffer holds at
+// least size bytes.
+func sniffReader(r io.Reader, size int) (*bufio.Reader, io.Closer, error) {
+	br := bufio.NewReaderSize(r, size)
 	hdr, err := br.Peek(2)
 	if err == nil && hdr[0] == 0x1f && hdr[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, nil, err
 		}
-		return bufio.NewReaderSize(gz, 1<<16), gz, nil
+		return bufio.NewReaderSize(gz, size), gz, nil
 	}
 	return br, nil, nil
 }
@@ -266,7 +262,7 @@ func DetectFormat(path string) (Format, error) {
 		return FormatJSON, fmt.Errorf("trace: detect format: %w", err)
 	}
 	defer f.Close()
-	br, gz, err := sniffReader(f)
+	br, gz, err := sniffReader(f, 1<<16)
 	if err != nil {
 		return FormatJSON, fmt.Errorf("trace: detect format: %w", err)
 	}
@@ -294,7 +290,7 @@ func LoadFile(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("trace: load dataset: %w", err)
 	}
 	defer f.Close()
-	br, gz, err := sniffReader(f)
+	br, gz, err := sniffReader(f, 1<<16)
 	if err != nil {
 		return nil, fmt.Errorf("trace: load dataset: %w", err)
 	}
@@ -364,10 +360,13 @@ func OpenStream(path string) (*DatasetStream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: open dataset: %w", err)
 	}
-	if sr, unmap, ok, err := openMapped(f); err != nil {
-		f.Close()
-		return nil, err
-	} else if ok {
+	if data, unmap, ok := mapBinary(f); ok {
+		sr, err := NewStreamReaderBytes(data)
+		if err != nil {
+			unmap.Close()
+			f.Close()
+			return nil, err
+		}
 		return &DatasetStream{
 			Name:    sr.Name(),
 			POIs:    sr.POIs(),
@@ -376,7 +375,7 @@ func OpenStream(path string) (*DatasetStream, error) {
 			closers: []io.Closer{unmap, f},
 		}, nil
 	}
-	br, gz, err := sniffReader(f)
+	br, gz, err := sniffReader(f, 1<<16)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trace: open dataset: %w", err)

@@ -216,7 +216,9 @@ func NewFragmentReader(r io.Reader) (*FragmentReader, error) {
 	if nkeys > maxFragmentKeys {
 		return nil, fmt.Errorf("trace: fragment key count %d exceeds limit", nkeys)
 	}
-	fr := &FragmentReader{r: br, keys: make(map[string]string, nkeys)}
+	// A key/value pair takes at least two bytes, so the map is sized by
+	// the bytes already buffered, not by a count that may be forged.
+	fr := &FragmentReader{r: br, keys: make(map[string]string, min(nkeys, uint64(br.Buffered()/2)))}
 	for i := uint64(0); i < nkeys; i++ {
 		k, err := fr.readStr()
 		if err != nil {
@@ -234,20 +236,30 @@ func NewFragmentReader(r io.Reader) (*FragmentReader, error) {
 // Keys returns the fragment's identifying key/value header.
 func (fr *FragmentReader) Keys() map[string]string { return fr.keys }
 
-// scratch returns fr.buf resized to size, growing geometrically so a
-// fragment with many similar-sized chunks settles on one allocation
-// instead of reallocating whenever a chunk is a byte larger than its
-// predecessor. The returned slice is invalidated by the next scratch
-// call (NextChunk documents the same reuse to its callers).
-func (fr *FragmentReader) scratch(size uint64) []byte {
-	if uint64(cap(fr.buf)) < size {
-		newCap := 2 * uint64(cap(fr.buf))
-		if newCap < size {
-			newCap = size
+// fill reads the next n bytes into fr.buf and returns them. The buffer
+// is reused across calls and grows geometrically, so a fragment of
+// many similar-sized chunks settles on one allocation; but it grows only
+// once the bytes already read fill it, so a forged length costs memory
+// in proportion to the bytes behind it, not to the length it declares.
+// The returned slice is invalidated by the next fill (NextChunk
+// documents the same reuse to its callers).
+func (fr *FragmentReader) fill(n uint64) ([]byte, error) {
+	buf := fr.buf[:0]
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), max(2*cap(buf), 512))
+			copy(grown, buf)
+			buf = grown
 		}
-		fr.buf = make([]byte, newCap)
+		got, err := io.ReadFull(fr.r, buf[len(buf):min(n, uint64(cap(buf)))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			fr.buf = buf
+			return nil, err
+		}
 	}
-	return fr.buf[:size]
+	fr.buf = buf
+	return buf, nil
 }
 
 // readStr reads one length-prefixed string.
@@ -259,8 +271,8 @@ func (fr *FragmentReader) readStr() (string, error) {
 	if n > maxFragmentString {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
-	buf := fr.scratch(n)
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
+	buf, err := fr.fill(n)
+	if err != nil {
 		return "", noEOF(err)
 	}
 	return string(buf), nil
@@ -321,8 +333,8 @@ func (fr *FragmentReader) NextChunk() ([]byte, error) {
 	if size > maxFragmentChunk {
 		return nil, fmt.Errorf("trace: fragment chunk of %d bytes exceeds limit", size)
 	}
-	buf := fr.scratch(size)
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
+	buf, err := fr.fill(size)
+	if err != nil {
 		return nil, fmt.Errorf("trace: read fragment chunk: %w", noEOF(err))
 	}
 	fr.chunks++

@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 
 	"geosocial/internal/poi"
 )
@@ -99,17 +100,10 @@ type Manifest struct {
 // header encoding. Two tables agree on the checksum iff their header
 // encodings are byte-identical, which is the invariant a shard set
 // needs — every shard must decode checkins against the same venues.
-func POIChecksum(pois []poi.POI) string {
-	var e frameEnc
-	e.uvarint(uint64(len(pois)))
-	for _, p := range pois {
-		e.str(p.Name)
-		e.varint(int64(p.Category))
-		e.latlon(p.Loc)
-		e.f64(p.Popularity)
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(e.buf))
-}
+func POIChecksum(pois []poi.POI) string { return tableChecksum(encodePOITable(nil, pois)) }
+
+// tableChecksum is POIChecksum over an already encoded table.
+func tableChecksum(table []byte) string { return fmt.Sprintf("sha256:%x", sha256.Sum256(table)) }
 
 // ShardOptions configures NewShardWriter.
 type ShardOptions struct {
@@ -355,6 +349,9 @@ type ShardSet struct {
 	Manifest Manifest
 	// Dir is the directory shard file names resolve against.
 	Dir string
+
+	// hdr is the first shard header OpenShard verified, nil until then.
+	hdr atomic.Pointer[checkedHeader]
 }
 
 // OpenShardSet opens a sharded corpus from a manifest path or from a
@@ -482,7 +479,11 @@ type ShardReader struct {
 }
 
 // OpenShard opens shard i for streaming and verifies its header carries
-// the manifest's dataset name and an identical POI table.
+// the manifest's dataset name and an identical POI table. The first
+// shard that passes leaves its header, canonically encoded, on the set;
+// a later shard whose header bytes equal it shares the decoded table
+// instead of parsing and checksumming it again (any other bytes take
+// the full check). Safe for concurrent calls.
 func (ss *ShardSet) OpenShard(i int) (*ShardReader, error) {
 	if i < 0 || i >= len(ss.Manifest.Shards) {
 		return nil, fmt.Errorf("trace: shard %d out of range (set has %d)", i, len(ss.Manifest.Shards))
@@ -493,23 +494,25 @@ func (ss *ShardSet) OpenShard(i int) (*ShardReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
 	}
+	h := ss.hdr.Load()
 	var sr *StreamReader
 	var closers []func() error
-	if msr, unmap, ok, merr := openMapped(f); merr != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: shard %s: %w", info.File, merr)
-	} else if ok {
-		sr = msr
-		closers = []func() error{unmap.Close, f.Close}
-	}
 	fail := func(err error) (*ShardReader, error) {
 		for _, c := range closers {
 			c()
 		}
 		return nil, err
 	}
-	if sr == nil {
-		br, gz, err := sniffReader(f)
+	checked := false
+	if data, unmap, ok := mapBinary(f); ok {
+		closers = []func() error{unmap.Close, f.Close}
+		if sr, checked = h.readerBytes(data); !checked {
+			if sr, err = NewStreamReaderBytes(data); err != nil {
+				return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
+			}
+		}
+	} else {
+		br, gz, err := sniffReader(f, h.bufSize())
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
@@ -518,22 +521,30 @@ func (ss *ShardSet) OpenShard(i int) (*ShardReader, error) {
 		if gz != nil {
 			closers = []func() error{gz.Close, f.Close}
 		}
-		if sr, err = NewStreamReader(br); err != nil {
-			return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
+		if sr, checked = h.reader(br); !checked {
+			if sr, err = NewStreamReader(br); err != nil {
+				return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
+			}
 		}
 	}
-	if sr.Name() != ss.Manifest.Name {
-		return fail(fmt.Errorf("trace: shard %s: dataset name %q, manifest says %q", info.File, sr.Name(), ss.Manifest.Name))
-	}
-	if sum := POIChecksum(sr.POIs()); sum != ss.Manifest.POIChecksum {
-		return fail(fmt.Errorf("trace: shard %s: POI table checksum %s, manifest says %s", info.File, sum, ss.Manifest.POIChecksum))
+	if !checked {
+		if sr.Name() != ss.Manifest.Name {
+			return fail(fmt.Errorf("trace: shard %s: dataset name %q, manifest says %q", info.File, sr.Name(), ss.Manifest.Name))
+		}
+		table := encodePOITable(nil, sr.POIs())
+		if sum := tableChecksum(table); sum != ss.Manifest.POIChecksum {
+			return fail(fmt.Errorf("trace: shard %s: POI table checksum %s, manifest says %s", info.File, sum, ss.Manifest.POIChecksum))
+		}
+		if h == nil {
+			ss.hdr.CompareAndSwap(nil, newCheckedHeader(sr, table))
+		}
 	}
 	return &ShardReader{sr: sr, closers: closers, want: info.Users}, nil
 }
 
 // POIs returns the shard's decoded POI table (identical across the set,
-// as enforced by the manifest checksum). The slice is owned by the
-// reader; callers must not mutate it.
+// as enforced by the manifest checksum). The slice may be shared with
+// the set's other readers; callers must not mutate it.
 func (r *ShardReader) POIs() []poi.POI { return r.sr.POIs() }
 
 // NextFrame fetches the next raw frame; at the verified end of the
