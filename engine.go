@@ -251,8 +251,9 @@ func (e *engine) stream() error {
 	// Once account has folded a user into the aggregates nothing holds
 	// the record (stats are counts, outcome records copy what they
 	// keep), so it goes back to its source's pool for the next decode.
-	// Only trace.UserRecycler sources participate — generational fold
-	// sources retain users across shards and do not implement it.
+	// Only trace.UserRecycler sources participate; a generational fold
+	// source is one over a shard reader (the DeltaSet keeps its delta
+	// records, which a fold never hands out).
 	recyclers := make([]trace.UserRecycler, len(srcs))
 	for j, s := range srcs {
 		recyclers[j], _ = s.src.(trace.UserRecycler)
@@ -415,8 +416,10 @@ func (e *engine) account(slot int, oc outcomeCls) error {
 	t := &e.slots[slot]
 	t.users++
 	t.part.Add(oc.out)
-	for _, k := range oc.cls.Kinds {
-		t.tax[k.String()]++
+	for k, c := range oc.cls.Counts() {
+		if c > 0 {
+			t.tax[classify.Kind(k).String()] += c
+		}
 	}
 	t.truth.Add(oc.out)
 	if e.opts.validated != nil {

@@ -81,17 +81,41 @@ func Bearing(a, b LatLon) float64 {
 	return br
 }
 
+// The sine and cosine of the two bearings the synthetic generator
+// displaces every fix by (north, then east), computed by the same
+// expressions Destination applies to any other bearing.
+var (
+	sinNorth, cosNorth = math.Sin(deg2rad(0)), math.Cos(deg2rad(0))
+	sinEast, cosEast   = math.Sin(deg2rad(90)), math.Cos(deg2rad(90))
+)
+
 // Destination returns the point reached by traveling dist meters from p on
 // the given initial bearing (degrees).
+//
+// Each sine and cosine is evaluated once, and those of the bearings 0 and
+// 90 (matched on exact bits, so -0 takes the general path) come from
+// package-level values: the result is bit-identical to evaluating every
+// trigonometric call in place.
 func Destination(p LatLon, bearingDeg, dist float64) LatLon {
 	ad := dist / EarthRadius
-	br := deg2rad(bearingDeg)
 	lat1 := deg2rad(p.Lat)
 	lon1 := deg2rad(p.Lon)
-	sinLat2 := math.Sin(lat1)*math.Cos(ad) + math.Cos(lat1)*math.Sin(ad)*math.Cos(br)
+	var sinBr, cosBr float64
+	switch math.Float64bits(bearingDeg) {
+	case math.Float64bits(0):
+		sinBr, cosBr = sinNorth, cosNorth
+	case math.Float64bits(90):
+		sinBr, cosBr = sinEast, cosEast
+	default:
+		br := deg2rad(bearingDeg)
+		sinBr, cosBr = math.Sin(br), math.Cos(br)
+	}
+	sinLat1, cosLat1 := math.Sin(lat1), math.Cos(lat1)
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+	sinLat2 := sinLat1*cosAd + cosLat1*sinAd*cosBr
 	lat2 := math.Asin(sinLat2)
-	y := math.Sin(br) * math.Sin(ad) * math.Cos(lat1)
-	x := math.Cos(ad) - math.Sin(lat1)*sinLat2
+	y := sinBr * sinAd * cosLat1
+	x := cosAd - sinLat1*sinLat2
 	lon2 := lon1 + math.Atan2(y, x)
 	out := LatLon{Lat: rad2deg(lat2), Lon: rad2deg(lon2)}
 	// Normalize longitude to [-180, 180].

@@ -57,7 +57,11 @@ func generateUser(cfg *Config, db *poi.DB, id int, s *rng.Stream) (*trace.User, 
 	}
 	startDay := cfg.Start.Unix() + 86400*int64(s.Intn(cfg.StaggerDays+1))
 
-	u := &trace.User{ID: id, Days: float64(days)}
+	// Fixes fall inside each day's tracking window, one per GPS period
+	// at most, so the trace is sized once instead of grown by doubling.
+	period := max(int64(cfg.GPSPeriod.Seconds()), 1)
+	perDay := int64(cfg.TrackEndHour-cfg.TrackStartHour)*3600/period + 1
+	u := &trace.User{ID: id, Days: float64(days), GPS: make(trace.GPSTrace, 0, int64(days)*perDay)}
 	em := &emitter{cfg: cfg, db: db, tr: tr, user: u}
 
 	for d := 0; d < days; d++ {

@@ -150,3 +150,79 @@ func TestOpenShardSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldSourceSteadyStateAllocs pins record recycling through a
+// generational set: once a consumer recycles what a fold source decodes,
+// a pass over the base frames allocates no records or traces — neither
+// for users with delta frames (the base record goes back to the pool
+// after FoldUser copies it) nor for users without (the base passes
+// through and comes back from the consumer).
+func TestFoldSourceSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	ds := shardTestDataset(16, 8)
+	for _, u := range ds.Users {
+		for k := int64(len(u.GPS)); k < 600; k++ {
+			u.GPS = append(u.GPS, GPSPoint{T: k * 60, Loc: u.GPS[0].Loc})
+		}
+	}
+	var buf bytes.Buffer
+	if err := ds.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewStreamReaderBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []Frame
+	for {
+		f, err := sr.NextFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	// Every other user has one delta frame appending a fix.
+	deltas := &DeltaSet{users: make(map[int][]*User), home: make(map[int]int)}
+	for _, u := range ds.Users {
+		if u.ID%2 == 0 {
+			deltas.users[u.ID] = []*User{{ID: u.ID, Days: 2, GPS: GPSTrace{{T: 1 << 30, Loc: u.GPS[0].Loc}}}}
+			deltas.home[u.ID] = 1
+		}
+	}
+	src := deltas.FoldSource(sr)
+	rec, ok := src.(UserRecycler)
+	if !ok {
+		t.Fatal("a fold source over a stream reader is not a UserRecycler")
+	}
+	pass := func() {
+		for i, f := range frames {
+			u, err := src.DecodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(ds.Users[i].GPS) + len(deltas.users[u.ID]); len(u.GPS) != want {
+				t.Fatalf("user %d: %d fixes, want %d", u.ID, len(u.GPS), want)
+			}
+			rec.RecycleUser(u)
+		}
+	}
+	pass() // warm the pool
+	var before, after runtime.MemStats
+	const runs = 50
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	traceBytes := uint64(len(ds.Users)*600) * uint64(unsafe.Sizeof(GPSPoint{}))
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per pass over %d users (%d trace bytes)", per, len(frames), traceBytes)
+	if per > traceBytes/64 {
+		t.Errorf("steady-state fold source allocates %d bytes per pass, want <= %d (%d trace bytes / 64)",
+			per, traceBytes/64, traceBytes)
+	}
+}

@@ -215,12 +215,21 @@ func (ds *DeltaSet) FoldNew(id int) (*User, error) {
 // out with its delta frames folded in. NextFrame passes through;
 // DecodeFrame stays safe for concurrent calls on distinct frames
 // because the DeltaSet is read-only.
+//
+// The fold source is a UserRecycler that recycles through src's pool
+// when src is one (and drops records otherwise): a base record FoldUser
+// copied goes back at once, and a consumer hands back either kind of
+// user DecodeFrame returns — a base record or a fold output, both pool
+// records. The DeltaSet keeps only delta records, which Fold never
+// returns.
 func (ds *DeltaSet) FoldSource(src FrameSource) FrameSource {
-	return foldSource{src: src, ds: ds}
+	r, _ := src.(UserRecycler)
+	return foldSource{src: src, r: r, ds: ds}
 }
 
 type foldSource struct {
 	src FrameSource
+	r   UserRecycler // src's, nil when it has none
 	ds  *DeltaSet
 }
 
@@ -231,7 +240,17 @@ func (fs foldSource) DecodeFrame(f Frame) (*User, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.ds.Fold(u)
+	v, err := fs.ds.Fold(u)
+	if v != u {
+		fs.RecycleUser(u)
+	}
+	return v, err
+}
+
+func (fs foldSource) RecycleUser(u *User) {
+	if fs.r != nil {
+		fs.r.RecycleUser(u)
+	}
 }
 
 // AppendWriter appends one generation to an existing shard set. Users

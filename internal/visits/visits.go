@@ -76,22 +76,24 @@ func (c Config) Validate() error {
 // predecessor and within RoamRadius of the anchor. A window spanning at
 // least MinDuration becomes a visit at the centroid of its fixes and the
 // scan resumes after it; otherwise the anchor moves on by one fix. tr is
-// neither copied nor retained.
+// neither copied nor retained. Every consecutive pair of fixes is some
+// window's, the pair a window stops at included, so the same scan finds
+// a fix that precedes its predecessor and then returns an error and no
+// visits.
 func Detect(tr trace.GPSTrace, cfg Config, db *poi.DB) ([]trace.Visit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	for k := 1; k < len(tr); k++ {
-		if tr[k].T < tr[k-1].T {
-			return nil, fmt.Errorf("visits: GPS trace not time-ordered")
-		}
 	}
 	rt := geo.NewRadiusTest(cfg.RoamRadius) // RoamRadius, thresholds solved once
 	var out []trace.Visit
 	for i := 0; i < len(tr); {
 		anchor := tr[i]
 		roam := rt.Around(anchor.Loc)
-		j := i + extend(tr[i+1:], &roam, anchor.T, cfg.MaxGap)
+		n, ordered := extend(tr[i+1:], &roam, anchor.T, cfg.MaxGap)
+		if !ordered {
+			return nil, fmt.Errorf("visits: GPS trace not time-ordered")
+		}
+		j := i + n
 		if dur := time.Duration(tr[j].T-anchor.T) * time.Second; dur < cfg.MinDuration {
 			i++
 			continue
@@ -112,20 +114,25 @@ func Detect(tr trace.GPSTrace, cfg Config, db *poi.DB) ([]trace.Visit, error) {
 // extend returns how many leading fixes of w continue a stay window
 // whose latest fix is at prevT: each fix must follow its predecessor
 // within maxGap and lie within the roam disk around the window's anchor.
-func extend(w []trace.GPSPoint, roam *geo.Disk, prevT int64, maxGap time.Duration) int {
+// It also checks the pair it stops at, so ordered is false when a fix it
+// examined precedes its predecessor.
+func extend(w []trace.GPSPoint, roam *geo.Disk, prevT int64, maxGap time.Duration) (n int, ordered bool) {
 	for k, p := range w {
+		if p.T < prevT {
+			return k, false
+		}
 		if time.Duration(p.T-prevT)*time.Second > maxGap {
-			return k
+			return k, true
 		}
 		// Decision-identical to Distance(anchor, p.Loc) <= RoamRadius:
 		// squared certified thresholds decide all but borderline fixes
 		// without square roots or trigonometry (see geo/fastdist.go).
 		if !roam.Contains(p.Loc) {
-			return k
+			return k, true
 		}
 		prevT = p.T
 	}
-	return len(w)
+	return len(w), true
 }
 
 // centroid returns the mean coordinate of the fixes, summed in order.

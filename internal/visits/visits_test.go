@@ -146,6 +146,43 @@ func TestDetectUnsortedRejected(t *testing.T) {
 	}
 }
 
+// TestDetectUnsortedAnywhere puts one decreasing pair wherever the scan
+// can meet it: the first pair, inside a stay, at the fix a window stops
+// at, right after a MaxGap split and as the last pair. Visits found
+// before the pair must not leak out with the error.
+func TestDetectUnsortedAnywhere(t *testing.T) {
+	stay := stationary(nil, at(0), 0, 10) // one visit, minutes 0..9
+	cases := []struct {
+		name string
+		tr   trace.GPSTrace
+	}{
+		{"first pair", append(trace.GPSTrace{{T: 600, Loc: at(0)}}, stationary(nil, at(0), 0, 10)...)},
+		{"inside a stay", func() trace.GPSTrace {
+			tr := stationary(nil, at(0), 0, 10)
+			tr[5].T = tr[4].T - 1
+			return tr
+		}()},
+		{"window's stopping fix", append(stationary(nil, at(0), 0, 10),
+			trace.GPSPoint{T: 8*60 + 30, Loc: at(2000)})},
+		{"after a MaxGap split", append(stationary(nil, at(0), 0, 10),
+			trace.GPSPoint{T: 35 * 60, Loc: at(0)}, trace.GPSPoint{T: 34 * 60, Loc: at(0)})},
+		{"last pair", append(stationary(stationary(nil, at(0), 0, 10), at(2000), 11, 10),
+			trace.GPSPoint{T: 19 * 60, Loc: at(2000)})},
+	}
+	if vs, err := Detect(stay, DefaultConfig(), nil); err != nil || len(vs) != 1 {
+		t.Fatalf("ordered stay: %d visits, %v", len(vs), err)
+	}
+	for _, c := range cases {
+		vs, err := Detect(c.tr, DefaultConfig(), nil)
+		if err == nil || err.Error() != "visits: GPS trace not time-ordered" {
+			t.Errorf("%s: error %v, want the time-order error", c.name, err)
+		}
+		if vs != nil {
+			t.Errorf("%s: %d visits returned with the error", c.name, len(vs))
+		}
+	}
+}
+
 func TestDetectConfigValidation(t *testing.T) {
 	bad := []Config{
 		{MinDuration: 0, RoamRadius: 100, MaxGap: time.Minute},
