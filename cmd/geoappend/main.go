@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/obs"
 	"geosocial/internal/trace"
 )
@@ -151,26 +152,15 @@ func runSplit(src, outDir, deltaPath string, shards int, cutDays float64, stdout
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(deltaPath)
+	f, err := atomicfile.Create(filepath.Dir(deltaPath), 0o666)
 	if err != nil {
 		return err
 	}
-	sw, err := trace.NewStreamWriter(f, full.Name, full.POIs)
-	if err != nil {
-		f.Close()
+	defer f.Abort()
+	if err := (&trace.Dataset{Name: full.Name, POIs: full.POIs, Users: deltas}).WriteBinary(f); err != nil {
 		return err
 	}
-	for _, u := range deltas {
-		if err := sw.WriteUser(u); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := sw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := f.Commit(deltaPath); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "split %q: %d base users in %d shards (%s), %d delta users (%s)\n",

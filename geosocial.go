@@ -246,7 +246,7 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 		// to the pseudo-shard "corpus" in the span report.
 		foldCell := opts.Spans.Stage("fold", "corpus")
 		t := foldCell.Start()
-		if ds, err = trace.MergeSets(ss); err != nil {
+		if ds, err = trace.MergeSets(ss, 0); err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
 		foldCell.Stop(t, ds.Len())

@@ -16,10 +16,10 @@
 // changing makes the old fragment unreachable, never wrong.
 //
 // Atomicity contract: a fragment is built in a temporary file and
-// published by fsync + rename + directory fsync, so a fragment that
-// exists under its final name is always complete and durable. A crash
-// mid-shard leaves only a temp file, which Open sweeps once it is
-// stale. The GSF1 trailer makes truncation (disk corruption) a decode
+// published by atomicfile's commit (fsync, rename, directory fsync), so
+// a fragment that exists under its final name is always complete and
+// durable. A crash mid-shard leaves only a temp file, which Open sweeps
+// once it is stale. The GSF1 trailer makes truncation (disk corruption) a decode
 // error; callers treat a Load error as "no checkpoint" after Remove.
 package checkpoint
 
@@ -32,9 +32,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
 	"geosocial/internal/trace"
 )
@@ -43,14 +43,9 @@ import (
 // the fragment's key header (the GSF1 envelope has its own version).
 const payloadVersion = "1"
 
-// tmpPrefix marks in-progress fragment files. Open removes leftovers
-// once they are older than the stale threshold (age-based, so a
-// concurrent run's live temp in the same directory is never swept).
-const tmpPrefix = ".ckpt-tmp-"
-
 // DefaultStaleAfter is how old a temp file must be before Open sweeps
 // it, absent an explicit threshold.
-const DefaultStaleAfter = time.Hour
+const DefaultStaleAfter = atomicfile.StaleAfter
 
 // Fragment section names, in file order. Records stream to disk while
 // the shard validates, so the aggregate sections land after them.
@@ -91,7 +86,8 @@ type Store struct {
 
 // Open creates the checkpoint directory if missing and sweeps temp
 // files left by crashed runs once they are older than
-// DefaultStaleAfter.
+// DefaultStaleAfter (age-based, so a concurrent run's live temp in the
+// same directory is never swept).
 func Open(dir, manifestSum, paramsTag string) (*Store, error) {
 	return OpenStale(dir, manifestSum, paramsTag, DefaultStaleAfter)
 }
@@ -108,17 +104,8 @@ func OpenStale(dir, manifestSum, paramsTag string, staleAfter time.Duration) (*S
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := atomicfile.SweepStale(dir, staleAfter); err != nil {
 		return nil, fmt.Errorf("checkpoint: open dir: %w", err)
-	}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), tmpPrefix) {
-			continue
-		}
-		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > staleAfter {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
 	}
 	return &Store{dir: dir, manifestSum: manifestSum, paramsTag: paramsTag}, nil
 }
@@ -243,8 +230,7 @@ func (s *Store) Remove(shardSum string) error {
 type Frag struct {
 	store    *Store
 	shardSum string
-	f        *os.File
-	tmp      string
+	f        *atomicfile.File
 	fw       *trace.FragmentWriter
 	records  int
 	done     bool
@@ -253,13 +239,12 @@ type Frag struct {
 // Begin opens a new fragment for the shard and positions it to accept
 // records. Records must all be added before Commit.
 func (s *Store) Begin(shardSum string) (*Frag, error) {
-	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
+	f, err := atomicfile.Create(s.dir, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: begin fragment: %w", err)
 	}
 	fail := func(err error) (*Frag, error) {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		return nil, err
 	}
 	fw, err := trace.NewFragmentWriter(f, s.keys(shardSum))
@@ -269,7 +254,7 @@ func (s *Store) Begin(shardSum string) (*Frag, error) {
 	if err := fw.Section(sectionRecords); err != nil {
 		return fail(fmt.Errorf("checkpoint: %w", err))
 	}
-	return &Frag{store: s, shardSum: shardSum, f: f, tmp: f.Name(), fw: fw}, nil
+	return &Frag{store: s, shardSum: shardSum, f: f, fw: fw}, nil
 }
 
 // AddRecord appends one encoded outcome-log record to the fragment.
@@ -285,22 +270,15 @@ func (fr *Frag) AddRecord(data []byte) error {
 }
 
 // Commit seals the fragment — user IDs, aggregate meta, envelope
-// trailer — syncs it, and publishes it under its final name with the
-// fsync + rename + directory-fsync discipline, so a visible fragment
-// is always complete and durable. m.Records is set from the records
-// actually added.
+// trailer — and publishes it under its final name (atomicfile), so a
+// visible fragment is always complete and durable. m.Records is set
+// from the records actually added.
 func (fr *Frag) Commit(m *Meta, ids []int) error {
 	if fr.done {
 		return fmt.Errorf("checkpoint: fragment already sealed")
 	}
 	fr.done = true
-	defer func() {
-		if fr.tmp != "" {
-			fr.f.Close()
-			os.Remove(fr.tmp)
-			fr.tmp = ""
-		}
-	}()
+	defer fr.f.Abort()
 	if len(ids) != m.Users {
 		return fmt.Errorf("checkpoint: committing %d user IDs for %d users", len(ids), m.Users)
 	}
@@ -325,21 +303,8 @@ func (fr *Frag) Commit(m *Meta, ids []int) error {
 	if err := fr.fw.Finish(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := fr.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync fragment: %w", err)
-	}
-	if err := fr.f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close fragment: %w", err)
-	}
-	final := fr.store.fragPath(fr.shardSum)
-	if err := os.Rename(fr.tmp, final); err != nil {
-		os.Remove(fr.tmp)
-		fr.tmp = ""
+	if err := fr.f.Commit(fr.store.fragPath(fr.shardSum)); err != nil {
 		return fmt.Errorf("checkpoint: publish fragment: %w", err)
-	}
-	fr.tmp = ""
-	if err := SyncDir(fr.store.dir); err != nil {
-		return err
 	}
 	return nil
 }
@@ -347,13 +312,8 @@ func (fr *Frag) Commit(m *Meta, ids []int) error {
 // Abort discards the in-progress fragment. Safe to call after Commit
 // (it then does nothing).
 func (fr *Frag) Abort() {
-	if fr.tmp == "" {
-		return
-	}
 	fr.done = true
-	fr.f.Close()
-	os.Remove(fr.tmp)
-	fr.tmp = ""
+	fr.f.Abort()
 }
 
 // encodeIDs packs user IDs as one sorted delta-uvarint chunk (count,
@@ -434,17 +394,4 @@ func ManifestChecksum(m *trace.Manifest) string {
 		fmt.Fprintf(h, "%s\x00%d\x00%d\x00", sh.File, sh.Users, sh.Bytes)
 	}
 	return fmt.Sprintf("sha256:%x", h.Sum(nil))
-}
-
-// SyncDir fsyncs a directory, making a just-renamed entry durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
-	}
-	return nil
 }

@@ -172,6 +172,35 @@ func TestAbortLeavesNothing(t *testing.T) {
 	}
 }
 
+// A directory at the fragment's final path obstructs the publish:
+// Commit fails with its publish error, no temp is left, and Load still
+// finds no checkpoint.
+func TestCommitObstructed(t *testing.T) {
+	dir := t.TempDir()
+	s := testStore(t, dir)
+	if err := os.Mkdir(s.fragPath("sha256:shard0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := s.Begin("sha256:shard0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.AddRecord([]byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.Commit(&Meta{Users: 1}, []int{1}); err == nil ||
+		!strings.HasPrefix(err.Error(), "checkpoint: publish fragment:") {
+		t.Fatalf("Commit over a directory = %v, want a publish error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].IsDir() {
+		t.Fatalf("failed Commit left %v, want only the obstructing directory", entries)
+	}
+}
+
 func TestCommitRejectsIDCountMismatch(t *testing.T) {
 	s := testStore(t, t.TempDir())
 	fr, err := s.Begin("sha256:shard0")
@@ -187,8 +216,8 @@ func TestCommitRejectsIDCountMismatch(t *testing.T) {
 // fresh ones (a concurrent run's live fragment).
 func TestOpenSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, tmpPrefix+"dead")
-	fresh := filepath.Join(dir, tmpPrefix+"live")
+	stale := filepath.Join(dir, ".tmp-1-1")
+	fresh := filepath.Join(dir, ".tmp-1-2")
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("partial"), 0o666); err != nil {
 			t.Fatal(err)
@@ -211,7 +240,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 // selects the default.
 func TestOpenStaleCustomThreshold(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, tmpPrefix+"recent")
+	tmp := filepath.Join(dir, ".tmp-1-3")
 	if err := os.WriteFile(tmp, []byte("partial"), 0o666); err != nil {
 		t.Fatal(err)
 	}

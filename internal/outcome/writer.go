@@ -6,10 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/classify"
 	"geosocial/internal/detect"
 )
@@ -27,40 +28,40 @@ type recIdx struct {
 // Writer spools each encoded record to a temp file immediately — memory
 // stays O(users) index entries, never O(records) bytes — and Close
 // re-sequences them into canonical user-ID order, writes the final
-// header/records/trailer, and atomically renames the result into
-// place. A path ending in ".gz" is gzip-compressed.
+// header/records/trailer, and publishes the result atomically
+// (atomicfile). A path ending in ".gz" is gzip-compressed.
 //
 // Write appends one record (outcome.NewRecord distills it from a
 // validated, classified user). A Writer that will not be completed must
 // be Discarded so its temp files are removed.
 type Writer struct {
-	path      string
-	name      string
-	spool     *os.File
-	spoolPath string
-	bw        *bufio.Writer
-	enc       recEnc
-	index     []recIdx
-	off       int64
-	maxSize   int32
-	closed    bool
+	path    string
+	name    string
+	spool   *atomicfile.File // never committed: Close and Discard abort it
+	bw      *bufio.Writer
+	enc     recEnc
+	index   []recIdx
+	off     int64
+	maxSize int32
+	closed  bool
 }
 
 // Create opens a log writer that will publish to path on Close. The
 // dataset name is recorded in the header. The spool and the final
-// temp file live next to path, so the rename is atomic.
+// temp file are atomicfile temps next to path, unique to this Writer;
+// Create first sweeps the stale temps a killed writer left there.
 func Create(path, name string) (*Writer, error) {
-	spoolPath := path + ".spool"
-	spool, err := os.Create(spoolPath)
+	dir := filepath.Dir(path)
+	atomicfile.SweepStale(dir, atomicfile.StaleAfter)
+	spool, err := atomicfile.Create(dir, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("outcome: create log: %w", err)
 	}
 	return &Writer{
-		path:      path,
-		name:      name,
-		spool:     spool,
-		spoolPath: spoolPath,
-		bw:        bufio.NewWriterSize(spool, 1<<16),
+		path:  path,
+		name:  name,
+		spool: spool,
+		bw:    bufio.NewWriterSize(spool, 1<<16),
 	}, nil
 }
 
@@ -106,16 +107,14 @@ func (w *Writer) writeRaw(id int, payload []byte) error {
 // Discard abandons the log: temp files are removed and nothing is
 // published. Safe to call after Close (it then does nothing).
 func (w *Writer) Discard() {
-	if w.closed || w.spool == nil {
-		return
+	if w.spool != nil {
+		w.spool.Abort()
+		w.spool = nil
 	}
-	w.spool.Close()
-	os.Remove(w.spoolPath)
-	w.spool = nil
 }
 
 // Close re-sequences the spooled records into canonical user-ID order,
-// writes the final log, and renames it into place. Duplicate user IDs
+// writes the final log, and publishes it. Duplicate user IDs
 // are rejected here (the only point where the whole ID set is known).
 func (w *Writer) Close() error {
 	if w.closed {
@@ -144,12 +143,11 @@ func (w *Writer) finish() error {
 		}
 	}
 
-	tmpPath := w.path + ".tmp-gso"
-	f, err := os.Create(tmpPath)
+	f, err := atomicfile.Create(filepath.Dir(w.path), 0o666)
 	if err != nil {
 		return fmt.Errorf("outcome: create log: %w", err)
 	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
+	defer f.Abort()
 
 	var out io.Writer = f
 	var gz *gzip.Writer
@@ -160,23 +158,17 @@ func (w *Writer) finish() error {
 	bw := bufio.NewWriterSize(out, 1<<16)
 
 	if err := w.writeLog(bw); err != nil {
-		f.Close()
 		return err
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
 		return fmt.Errorf("outcome: write log: %w", err)
 	}
 	if gz != nil {
 		if err := gz.Close(); err != nil {
-			f.Close()
 			return fmt.Errorf("outcome: write log: %w", err)
 		}
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("outcome: write log: %w", err)
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
+	if err := f.Commit(w.path); err != nil {
 		return fmt.Errorf("outcome: publish log: %w", err)
 	}
 	return nil

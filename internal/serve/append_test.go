@@ -255,7 +255,7 @@ func TestConcurrentAppendsSerialize(t *testing.T) {
 	if ss.Manifest.Generation != len(acked) {
 		t.Fatalf("generation %d after %d acknowledged appends", ss.Manifest.Generation, len(acked))
 	}
-	deltas, err := trace.MergeSets(ss)
+	deltas, err := trace.MergeSets(ss, 0)
 	if err != nil {
 		t.Fatalf("delta shards do not decode: %v", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"geosocial/internal/atomicfile"
 )
 
 // resultCache is a fixed-capacity memory LRU over encoded validation
@@ -69,13 +71,9 @@ func newResultCache(capacity int, dir string) (*resultCache, error) {
 			return nil, err
 		}
 		// Sweep temp files a crashed predecessor left mid-write; their
-		// final entries either exist (rename happened) or will be
-		// recomputed.
-		if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp-cache")); err == nil {
-			for _, p := range stale {
-				os.Remove(p)
-			}
-		}
+		// final entries either exist (the commit happened) or will be
+		// recomputed. Only this server writes here, so any age is stale.
+		atomicfile.SweepStale(dir, 0)
 	}
 	return &resultCache{
 		capacity:  capacity,
@@ -173,14 +171,13 @@ func (c *resultCache) Put(key string, val []byte) {
 	if c.dir != "" {
 		// Best-effort durability: the memory tier already holds the
 		// entry, so a failed disk write only costs a future revalidation.
-		// The write is atomic (temp + rename), so a concurrent Get of the
+		// The write is atomic (atomicfile), so a concurrent Get of the
 		// same key from disk can never observe a torn file.
-		path := c.entryPath(key)
-		tmp := path + ".tmp-cache"
-		if err := os.WriteFile(tmp, val, 0o666); err != nil {
-			os.Remove(tmp) // a partial write must not linger
-		} else if os.Rename(tmp, path) != nil {
-			os.Remove(tmp)
+		if f, err := atomicfile.Create(c.dir, 0o666); err == nil {
+			if _, err := f.Write(val); err == nil {
+				_ = f.Commit(c.entryPath(key))
+			}
+			f.Abort() // a no-op after the commit
 		}
 		c.mu.Lock()
 		c.diskCount++

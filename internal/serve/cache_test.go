@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 )
 
@@ -106,5 +107,30 @@ func TestResultCacheManyKeys(t *testing.T) {
 		if v, ok := c.Get(fmt.Sprintf("k%03d", i)); !ok || v[0] != byte(i) {
 			t.Fatalf("k%03d missing or wrong", i)
 		}
+	}
+}
+
+// A directory at an entry's disk path obstructs its publish: Put
+// surfaces nothing, the memory tier still serves the entry, and no temp
+// is left in the disk tier.
+func TestResultCachePutObstructed(t *testing.T) {
+	dir := t.TempDir()
+	c, err := newResultCache(2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(c.entryPath("a"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c.Put("a", []byte("A"))
+	if v, ok := c.Get("a"); !ok || !bytes.Equal(v, []byte("A")) {
+		t.Fatalf("a = %q, %v", v, ok)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].IsDir() {
+		t.Fatalf("failed Put left %v, want only the obstructing directory", entries)
 	}
 }

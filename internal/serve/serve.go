@@ -40,7 +40,7 @@ import (
 	"sync"
 	"time"
 
-	"geosocial/internal/checkpoint"
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
 	"geosocial/internal/obs"
 	"geosocial/internal/trace"
@@ -964,25 +964,14 @@ func (s *Server) Upload(r io.Reader) (JobInfo, error) {
 	}
 	s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(s.cfg.SpoolDir, ".upload-*")
+	tmp, err := atomicfile.Create(s.cfg.SpoolDir, 0o600)
 	if err != nil {
 		return JobInfo{}, fmt.Errorf("serve: upload: %w", err)
 	}
-	tmpPath := tmp.Name()
+	defer tmp.Abort()
 	h := sha256.New()
 	size, err := io.Copy(io.MultiWriter(tmp, h), r)
-	// The spool file is the upload's only durable copy, so its bytes
-	// must reach the disk before the rename can publish the name: a
-	// crash after an unsynced rename could leave the name pointing at
-	// lost content.
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		os.Remove(tmpPath)
 		return JobInfo{}, fmt.Errorf("serve: upload: %w", err)
 	}
 	sum := hex.EncodeToString(h.Sum(nil))
@@ -990,19 +979,17 @@ func (s *Server) Upload(r io.Reader) (JobInfo, error) {
 	s.sm.uploads.Inc()
 	s.sm.uploadBytes.Observe(float64(size))
 
-	// The full checksum names the file, so renaming over an existing
+	// The full checksum names the file, so committing over an existing
 	// upload can only replace identical bytes. Whether the name already
 	// existed decides cleanup ownership below: a freshly staged file is
 	// this call's to remove on failure, an established spool file is not.
 	final := filepath.Join(s.cfg.SpoolDir, "upload-"+sum+".dataset")
 	_, statErr := os.Stat(final)
 	preexisted := statErr == nil
-	if err := os.Rename(tmpPath, final); err != nil {
-		os.Remove(tmpPath)
-		return JobInfo{}, fmt.Errorf("serve: upload: %w", err)
-	}
-	if err := checkpoint.SyncDir(s.cfg.SpoolDir); err != nil {
-		if !preexisted {
+	if err := tmp.Commit(final); err != nil {
+		// A failed rename placed nothing: final, if present, is another
+		// upload's. Only a placed file (ErrSyncDir) is this call's.
+		if errors.Is(err, atomicfile.ErrSyncDir) && !preexisted {
 			os.Remove(final)
 		}
 		return JobInfo{}, fmt.Errorf("serve: upload: %w", err)
@@ -1027,10 +1014,10 @@ var datasetSuffixes = []string{
 }
 
 // spoolCandidate reports whether a spool file name looks like a
-// dataset. Temporary files (upload staging, atomic-save temps) are
-// excluded.
+// dataset. Hidden files, among them every temporary file (upload
+// staging, atomic-save temps), are excluded.
 func spoolCandidate(name string) bool {
-	if strings.HasPrefix(name, ".") || strings.Contains(name, ".tmp-") {
+	if strings.HasPrefix(name, ".") {
 		return false
 	}
 	for _, suf := range datasetSuffixes {

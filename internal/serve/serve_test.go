@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
@@ -163,6 +166,80 @@ func TestUploadIdempotent(t *testing.T) {
 
 	if up, done := metric(t, s, "geoserve_uploads_total"), metric(t, s, "geoserve_datasets_validated_total"); up != 2 || done != 1 {
 		t.Fatalf("metrics: %v uploads, %v validated; want 2, 1", up, done)
+	}
+}
+
+// A directory at the upload's content-addressed name obstructs the
+// publish: Upload fails with its own error and leaves no temp behind.
+func TestUploadObstructed(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, &calls, nil)
+	sum := sha256.Sum256([]byte("obstructed payload"))
+	if err := os.Mkdir(filepath.Join(s.cfg.SpoolDir, "upload-"+hex.EncodeToString(sum[:])+".dataset"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Upload(strings.NewReader("obstructed payload")); err == nil ||
+		!strings.HasPrefix(err.Error(), "serve: upload:") {
+		t.Fatalf("Upload over a directory = %v, want an upload error", err)
+	}
+	if left := spoolFiles(t, s); len(left) != 0 {
+		t.Fatalf("failed upload left %v in the spool", left)
+	}
+}
+
+// A directory fsync failure after the upload's commit fails the upload
+// and removes the file it placed, so no job and no file is left.
+func TestUploadSyncDirFailure(t *testing.T) {
+	// Registered first, the restore runs after the server has closed.
+	t.Cleanup(atomicfile.SetSyncDirForTest(func(string) error { return errors.New("injected") }))
+	var calls atomic.Int64
+	s := newTestServer(t, &calls, nil)
+	if _, err := s.Upload(strings.NewReader("unsynced payload")); !errors.Is(err, atomicfile.ErrSyncDir) ||
+		!strings.HasPrefix(err.Error(), "serve: upload:") {
+		t.Fatalf("Upload = %v, want an upload error matching ErrSyncDir", err)
+	}
+	if left := spoolFiles(t, s); len(left) != 0 {
+		t.Fatalf("failed upload left %v in the spool", left)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("failed upload registered %v", jobs)
+	}
+}
+
+// A restarted server sweeps the temps a crashed predecessor left in its
+// disk cache, whatever their age, and keeps the published entries. (The
+// outcome-log directory is swept by age, by outcome.Create.)
+func TestNewSweepsOwnTemps(t *testing.T) {
+	spool := t.TempDir()
+	var temps, kept []string
+	for _, sub := range []string{"cache"} {
+		dir := filepath.Join(spool, sub)
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{".tmp-1-1", "kept.json"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		temps = append(temps, filepath.Join(dir, ".tmp-1-1"))
+		kept = append(kept, filepath.Join(dir, "kept.json"))
+	}
+	var calls atomic.Int64
+	newTestServer(t, &calls, func(c *Config) {
+		c.SpoolDir = spool
+		c.NoDiskCache = false
+		c.RetainOutcomes = true
+	})
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("temp %s survived the restart (%v)", p, err)
+		}
+	}
+	for _, p := range kept {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("published %s swept: %v", p, err)
+		}
 	}
 }
 
@@ -357,7 +434,7 @@ func TestSpoolWatcherPicksUpStableFiles(t *testing.T) {
 	s := newTestServer(t, &calls, func(c *Config) { c.PollInterval = 5 * time.Millisecond })
 
 	// Temp-looking files must never be ingested.
-	if err := os.WriteFile(filepath.Join(s.cfg.SpoolDir, "x.bin.tmp-1-2"), []byte("partial"), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(s.cfg.SpoolDir, ".tmp-1-2"), []byte("partial"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(s.cfg.SpoolDir, "ready.bin"), []byte("spooled bytes"), 0o666); err != nil {

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"sort"
 	"strings"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/par"
 	"geosocial/internal/poi"
 )
@@ -138,12 +140,15 @@ type DeltaSet struct {
 	home  map[int]int     // manifest shard index of each ID's first delta frame
 }
 
-// MergeSets loads every delta shard of a generational shard set and
-// returns the fold index. For a generation-0 set it returns an empty
+// MergeSets loads every delta shard of a generational shard set from
+// manifest shard index first on and returns the fold index: first 0
+// loads them all, and an update passes the count of shards its
+// previous result covered. For a generation-0 set it returns an empty
 // DeltaSet.
-func MergeSets(ss *ShardSet) (*DeltaSet, error) {
+func MergeSets(ss *ShardSet, first int) (*DeltaSet, error) {
 	ds := &DeltaSet{users: make(map[int][]*User), home: make(map[int]int)}
-	for i, info := range ss.Manifest.Shards {
+	for i := first; i < len(ss.Manifest.Shards); i++ {
+		info := ss.Manifest.Shards[i]
 		if !info.Delta {
 			continue
 		}
@@ -194,6 +199,10 @@ func (ds *DeltaSet) Home(id int) int {
 	}
 	return -1
 }
+
+// Frames returns the ID's delta frames in shard-list order (nil when
+// it has none). The records are the DeltaSet's own: read-only.
+func (ds *DeltaSet) Frames(id int) []*User { return ds.users[id] }
 
 // Fold returns the base user with its delta frames folded in, or the
 // base unchanged when it has none.
@@ -479,16 +488,11 @@ func (aw *AppendWriter) Close() error {
 		return fmt.Errorf("trace: append: delta shard %s already exists", final)
 	}
 
-	f, err := createTemp(finalPath)
+	f, err := atomicfile.Create(aw.ss.Dir, 0o666)
 	if err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
+	defer f.Abort()
 	var sink io.Writer = f
 	var gz *gzip.Writer
 	if aw.compress {
@@ -497,38 +501,26 @@ func (aw *AppendWriter) Close() error {
 	}
 	sw, err := NewStreamWriter(sink, name, aw.pois)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	for _, u := range aw.users {
 		if err := sw.WriteUser(u); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	if err := sw.Close(); err != nil {
-		return fail(err)
+		return err
 	}
 	if gz != nil {
 		if err := gz.Close(); err != nil {
-			return fail(fmt.Errorf("trace: append: %w", err))
+			return fmt.Errorf("trace: append: %w", err)
 		}
-	}
-	// The delta's bytes must be durable before any manifest can
-	// reference them: a crash after a durable manifest write but before
-	// the shard data reached disk would corrupt a previously valid set
-	// in place.
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("trace: append: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: append: %w", err)
 	}
 
 	// The superseded manifest's checksum goes into the audit chain
 	// before the file is replaced.
 	prevRaw, err := os.ReadFile(aw.manifestPath)
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("trace: append: %w", err)
 	}
 
@@ -546,29 +538,25 @@ func (aw *AppendWriter) Close() error {
 	m.Supersedes = fmt.Sprintf("sha256:%x", sha256.Sum256(prevRaw))
 
 	// Publish: delta shard first, manifest last, so a manifest on disk
-	// always describes complete shards (the ShardWriter discipline).
-	// The shard is hard-linked — not renamed — into its final name:
-	// link fails with EEXIST instead of replacing, so a concurrent
-	// append that raced past the existence check above fails here
-	// rather than silently overwriting the other session's published
-	// delta shard.
-	if err := os.Link(tmp, finalPath); err != nil {
-		os.Remove(tmp)
-		if os.IsExist(err) {
+	// always describes complete, durable shards (the ShardWriter
+	// discipline). CommitNew fails instead of replacing, so a concurrent
+	// append that raced past the existence check above fails here rather
+	// than silently overwriting the other session's published delta.
+	// A delta the commit linked (ErrSyncDir) is this session's to
+	// remove; once the manifest is placed it names the delta, which
+	// then stays.
+	if err := f.CommitNew(finalPath); err != nil {
+		if errors.Is(err, atomicfile.ErrSyncDir) {
+			os.Remove(finalPath)
+		}
+		if errors.Is(err, os.ErrExist) {
 			return fmt.Errorf("trace: append: delta shard %s already exists", final)
 		}
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	os.Remove(tmp)
-	if err := writeManifest(aw.manifestPath, &m); err != nil {
+	err = writeManifest(aw.manifestPath, &m)
+	if err != nil && !errors.Is(err, atomicfile.ErrSyncDir) {
 		os.Remove(finalPath)
-		return err
 	}
-	// Both directory entries (the new shard's link, the manifest's
-	// rename) must survive a crash together with the manifest content:
-	// writeManifest synced the file, this syncs the names.
-	if err := syncDir(aw.ss.Dir); err != nil {
-		return fmt.Errorf("trace: append: sync dir: %w", err)
-	}
-	return nil
+	return err
 }

@@ -150,7 +150,7 @@ func TestAppendFoldRoundTrip(t *testing.T) {
 		t.Fatalf("delta shard frames %d, want %d", last.Users, len(deltas)+1)
 	}
 
-	ds2, err := trace.MergeSets(ss)
+	ds2, err := trace.MergeSets(ss, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestAppendSecondGeneration(t *testing.T) {
 	if ss.Manifest.Generation != 2 {
 		t.Fatalf("generation %d, want 2", ss.Manifest.Generation)
 	}
-	ds2, err := trace.MergeSets(ss)
+	ds2, err := trace.MergeSets(ss, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestConcurrentAppendSessionsExactlyOneWins(t *testing.T) {
 	if ss.Manifest.Users != len(full.Users)+1 {
 		t.Fatalf("manifest users %d, want %d", ss.Manifest.Users, len(full.Users)+1)
 	}
-	ds2, err := trace.MergeSets(ss)
+	ds2, err := trace.MergeSets(ss, 0)
 	if err != nil {
 		t.Fatalf("winner's delta shard does not decode: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/poi"
 )
 
@@ -101,22 +102,14 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 
 // SaveFile writes the dataset to path, gzip-compressed when the path ends
 // in ".gz" and binary-encoded when the (uncompressed) suffix is ".bin"
-// (JSON otherwise). The write is atomic: bytes go to a temporary file in
-// the same directory which is renamed over path only after a successful
-// flush, so a crash or write error mid-save never leaves a truncated
-// dataset at the destination.
-func (d *Dataset) SaveFile(path string) (err error) {
-	f, err := createTemp(path)
+// (JSON otherwise). The write is atomic (atomicfile), so a crash or write
+// error mid-save never leaves a truncated dataset at the destination.
+func (d *Dataset) SaveFile(path string) error {
+	f, err := atomicfile.Create(filepath.Dir(path), 0o666)
 	if err != nil {
 		return fmt.Errorf("trace: save dataset: %w", err)
 	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
+	defer f.Abort()
 
 	var w io.Writer = f
 	var gz *gzip.Writer
@@ -141,47 +134,10 @@ func (d *Dataset) SaveFile(path string) (err error) {
 			return fmt.Errorf("trace: save dataset: %w", err)
 		}
 	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("trace: save dataset: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
+	if err = f.Commit(path); err != nil {
 		return fmt.Errorf("trace: save dataset: %w", err)
 	}
 	return nil
-}
-
-// createTemp opens an exclusive temporary file next to path for an
-// atomic save. Unlike os.CreateTemp it opens with mode 0666, so the
-// process umask applies exactly as it would to a plain os.Create — a
-// restrictive umask keeps the saved dataset private.
-func createTemp(path string) (*os.File, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	pid := os.Getpid()
-	for attempt := 0; ; attempt++ {
-		name := filepath.Join(dir, fmt.Sprintf("%s.tmp-%d-%d", base, pid, attempt))
-		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
-		if err == nil {
-			return f, nil
-		}
-		if !os.IsExist(err) || attempt >= 100 {
-			return nil, err
-		}
-	}
-}
-
-// syncDir fsyncs a directory, making just-renamed (or just-linked)
-// entries durable. Local to trace because importing the checkpoint
-// package's SyncDir would cycle.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // errMmapUnsupported marks files (or platforms) where memory-mapped

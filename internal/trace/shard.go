@@ -26,6 +26,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,6 +34,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/poi"
 )
 
@@ -116,8 +118,7 @@ type ShardOptions struct {
 
 // shardFile is one open shard of a ShardWriter.
 type shardFile struct {
-	f     *os.File
-	tmp   string // temp path the bytes go to until Close renames it
+	f     *atomicfile.File
 	final string // final file name, relative to the writer's directory
 	gz    *gzip.Writer
 	sw    *StreamWriter
@@ -126,9 +127,9 @@ type shardFile struct {
 // ShardWriter writes a sharded binary corpus: N shard files plus a
 // manifest. Users are validated exactly as StreamWriter validates them,
 // with duplicate-ID detection across the whole set. Bytes go to
-// temporary files which Close renames into place before writing the
-// manifest last, so a complete manifest on disk always describes
-// complete shards.
+// temporary files which Close commits into place (atomicfile) before
+// writing the manifest last, so a complete manifest on disk always
+// describes complete, durable shards.
 type ShardWriter struct {
 	dir         string
 	name        string
@@ -158,12 +159,12 @@ func NewShardWriter(dir, name string, pois []poi.POI, opts ShardOptions) (*Shard
 		if opts.Compress {
 			final += ".gz"
 		}
-		f, err := createTemp(filepath.Join(dir, final))
+		f, err := atomicfile.Create(dir, 0o666)
 		if err != nil {
 			w.discard()
 			return nil, fmt.Errorf("trace: shard writer: %w", err)
 		}
-		sf := &shardFile{f: f, tmp: f.Name(), final: final}
+		sf := &shardFile{f: f, final: final}
 		w.shards = append(w.shards, sf)
 		var sink io.Writer = f
 		if opts.Compress {
@@ -206,9 +207,12 @@ func (w *ShardWriter) ManifestPath() string {
 	return filepath.Join(w.dir, w.name+ManifestSuffix)
 }
 
-// Close finishes every shard stream (sentinel, trailer, flush), renames
+// Close finishes every shard stream (sentinel, trailer, flush), commits
 // the shard files into place, and writes the manifest last. On error
-// the temporary files are removed and no manifest is written.
+// the temporary files and the shards already committed are removed and
+// no manifest is written, unless the manifest was placed and only the
+// directory fsync after it failed (atomicfile.ErrSyncDir): the set is
+// then complete and stays.
 func (w *ShardWriter) Close() error {
 	if w.closed {
 		return nil
@@ -230,11 +234,6 @@ func (w *ShardWriter) Close() error {
 				return fmt.Errorf("trace: shard writer: %w", err)
 			}
 		}
-		if err := sf.f.Close(); err != nil {
-			w.discard()
-			return fmt.Errorf("trace: shard writer: %w", err)
-		}
-		sf.f = nil
 		m.Shards = append(m.Shards, ShardInfo{
 			File:  sf.final,
 			Users: sf.sw.Users(),
@@ -242,79 +241,60 @@ func (w *ShardWriter) Close() error {
 		})
 		m.Users += sf.sw.Users()
 	}
-	// All streams are complete; move them into place, then publish the
-	// manifest last, so a manifest on disk always describes complete
-	// shards. A failure anywhere past the first rename must also undo
-	// the renames already done: without a manifest the final files are
-	// unreachable, and discard only knows about temp paths.
-	var renamed []string
+	// All streams are complete; commit them into place, then publish
+	// the manifest last, so a manifest on disk always describes complete
+	// shards. A failure anywhere past the first commit must also undo
+	// the commits already done: without a manifest the final files are
+	// unreachable, and discard only knows about temps.
+	placed := 0 // shards under their final names
 	undo := func() {
 		w.discard()
-		for _, p := range renamed {
-			os.Remove(p)
+		for _, sf := range w.shards[:placed] {
+			os.Remove(filepath.Join(w.dir, sf.final))
 		}
 	}
 	for _, sf := range w.shards {
-		final := filepath.Join(w.dir, sf.final)
-		if err := os.Rename(sf.tmp, final); err != nil {
+		err := sf.f.Commit(filepath.Join(w.dir, sf.final))
+		if err == nil || errors.Is(err, atomicfile.ErrSyncDir) {
+			placed++
+		}
+		if err != nil {
 			undo()
 			return fmt.Errorf("trace: shard writer: %w", err)
 		}
-		sf.tmp = ""
-		renamed = append(renamed, final)
 	}
 	m.POIChecksum = w.poiChecksum
-	if err := writeManifest(w.ManifestPath(), &m); err != nil {
+	// A manifest that was placed (ErrSyncDir) names the committed
+	// shards: the set is readable, and undoing them would break it.
+	err := writeManifest(w.ManifestPath(), &m)
+	if err != nil && !errors.Is(err, atomicfile.ErrSyncDir) {
 		undo()
-		return err
 	}
-	return nil
+	return err
 }
 
-// discard closes and removes any temporary shard files (error path).
+// discard removes any temporary shard files (error path); the shards
+// already committed are the caller's to remove.
 func (w *ShardWriter) discard() {
 	w.closed = true
 	for _, sf := range w.shards {
-		if sf.f != nil {
-			sf.f.Close()
-			sf.f = nil
-		}
-		if sf.tmp != "" {
-			os.Remove(sf.tmp)
-			sf.tmp = ""
-		}
+		sf.f.Abort()
 	}
 }
 
 // writeManifest atomically writes the manifest JSON to path.
 func writeManifest(path string, m *Manifest) error {
-	f, err := createTemp(path)
+	f, err := atomicfile.Create(filepath.Dir(path), 0o666)
 	if err != nil {
 		return fmt.Errorf("trace: write manifest: %w", err)
 	}
-	tmp := f.Name()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(m); err != nil {
-		f.Close()
-		os.Remove(tmp)
+		f.Abort()
 		return fmt.Errorf("trace: write manifest: %w", err)
 	}
-	// The manifest's bytes must reach the disk before the rename can
-	// publish the name: a crash after an unsynced rename could leave
-	// the name pointing at lost content, and the manifest is the one
-	// file whose loss makes the whole set unreadable.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := f.Commit(path); err != nil {
 		return fmt.Errorf("trace: write manifest: %w", err)
 	}
 	return nil

@@ -302,6 +302,25 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err != nil || !bytes.Equal(beforeBin, afterBin) {
 		t.Error("failed binary save corrupted the destination file")
 	}
+
+	// A directory at the destination obstructs the publish itself.
+	if err := os.Mkdir(filepath.Join(dir, "dir.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := testDataset().SaveFile(filepath.Join(dir, "dir.json")); err == nil ||
+		!strings.HasPrefix(err.Error(), "trace: save dataset:") {
+		t.Fatalf("save over a directory = %v, want a save error", err)
+	}
+	if entries, err = os.ReadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != "dir.json,ds.bin,ds.json" {
+		t.Errorf("files after the saves: %v", names)
+	}
 }
 
 func TestCheckinTime(t *testing.T) {

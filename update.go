@@ -14,7 +14,6 @@ package geosocial
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"geosocial/internal/outcome"
 	"geosocial/internal/trace"
@@ -89,36 +88,11 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	// Decode the appended delta shards: per-user frames in shard order,
 	// plus each brand-new candidate's home shard (the first appended
 	// shard holding a frame of an ID the earlier shards don't).
-	newFrames := make(map[int][]*trace.User)
-	newHome := make(map[int]int)
-	for i := old; i < len(ss.Manifest.Shards); i++ {
-		r, err := ss.OpenShard(i)
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		for {
-			u, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-			if _, ok := newHome[u.ID]; !ok {
-				newHome[u.ID] = i
-			}
-			newFrames[u.ID] = append(newFrames[u.ID], u)
-		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
+	ds, err := trace.MergeSets(ss, old)
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
 	}
-	touched := make([]int, 0, len(newFrames))
-	for id := range newFrames {
-		touched = append(touched, id)
-	}
-	sort.Ints(touched)
+	touched := ds.IDs()
 
 	// Scan the earlier shards once, keeping only the touched users'
 	// frames, undecoded (everything else is a cheap ID peek); the fold
@@ -194,7 +168,7 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	for i, id := range touched {
 		home, existing := homeShard[id]
 		if !existing {
-			home = newHome[id]
+			home = ds.Home(id)
 		}
 		p.fold[i] = foldItem{id: id, slot: home, replaces: existing}
 	}
@@ -205,10 +179,10 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		id := touched[i]
 		chain := chains[i]
 		if len(chain) == 0 {
-			return trace.FoldUser(newFrames[id][0], newFrames[id][1:])
+			return ds.FoldNew(id)
 		}
 		chains[i] = nil
-		return foldFrames(chain, newFrames[id])
+		return foldFrames(chain, ds.Frames(id))
 	}
 	res, err := p.run(opts)
 	if err != nil {
