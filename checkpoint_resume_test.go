@@ -13,8 +13,10 @@ package geosocial
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,6 +250,119 @@ func TestResumeSurvivesCorruptFragment(t *testing.T) {
 	}
 	if skips() != shards {
 		t.Errorf("after recovery run, skipped %d shards, want %d", skips(), shards)
+	}
+}
+
+// A shard that ends before another shard fails is committed at its own
+// end, not at the run's: a run over a short shard and a long one whose
+// last frame is corrupt fails, yet leaves the short shard's fragment,
+// and once the long shard is repaired the rerun skips the short shard
+// and matches a clean run byte for byte.
+func TestResumeAfterLongShardFails(t *testing.T) {
+	study, err := GenerateStudy(StudyConfig{Scale: 0.05, Seed: 11})
+	if err != nil {
+		t.Fatalf("GenerateStudy: %v", err)
+	}
+	ds := study.Primary
+	// The writer puts each user in the shard with the fewest bytes so
+	// far: the longest trace first, then the rest shortest first, leaves
+	// shard 0 short and shard 1 long.
+	users := append([]*trace.User(nil), ds.Users...)
+	sort.SliceStable(users, func(i, j int) bool { return len(users[i].GPS) < len(users[j].GPS) })
+	users = append(users[len(users)-1:], users[:len(users)-1]...)
+	dir := t.TempDir()
+	w, err := trace.NewShardWriter(dir, ds.Name, ds.POIs, trace.ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range users {
+		if err := w.WriteUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest := w.ManifestPath()
+	ss, err := trace.OpenShardSet(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, long := ss.Manifest.Shards[0], ss.Manifest.Shards[1]
+	if short.Users+2 > long.Users {
+		t.Fatalf("shards hold %d and %d users, want a short and a long one", short.Users, long.Users)
+	}
+
+	outDir := t.TempDir()
+	cleanLog := filepath.Join(outDir, "clean.gso")
+	clean, err := ValidateFileOpts(manifest, StreamOptions{Workers: 4, OutcomeLog: cleanLog})
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	wantJSON, _ := clean.Encode()
+	wantLog, err := os.ReadFile(cleanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The stream ends: ... last frame, sentinel 0, user-count trailer
+	// (one byte below 128 users). The last frame's payload ends in a
+	// checkin field, a uvarint: a continuation bit there runs it past
+	// the payload.
+	longPath := filepath.Join(dir, long.File)
+	good, err := os.ReadFile(longPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.Users >= 128 {
+		t.Fatalf("long shard has %d users; the corruption assumes a one-byte trailer", long.Users)
+	}
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-3] |= 0x80
+
+	for _, workers := range []int{1, 8} {
+		if err := os.WriteFile(longPath, bad, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		ckDir := filepath.Join(outDir, fmt.Sprintf("ck-%d", workers))
+		logPath := filepath.Join(outDir, fmt.Sprintf("run-%d.gso", workers))
+		logger, wrote := countingLogger("checkpoint written")
+		_, err := ValidateFileOpts(manifest, StreamOptions{
+			Workers: workers, OutcomeLog: logPath, CheckpointDir: ckDir, Logger: logger,
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: run over a corrupt last frame succeeded", workers)
+		}
+		t.Logf("workers=%d: %d- and %d-user shards: %v", workers, short.Users, long.Users, err)
+		frags, err := filepath.Glob(filepath.Join(ckDir, "ckpt-*.gsf"))
+		if err != nil || len(frags) != 1 || wrote() != 1 {
+			t.Fatalf("workers=%d: failed run left %d fragments, logged %d commits, want the short shard's (%v)",
+				workers, len(frags), wrote(), err)
+		}
+
+		if err := os.WriteFile(longPath, good, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		logger, skips := countingLogger("checkpoint hit")
+		res, err := ValidateFileOpts(manifest, StreamOptions{
+			Workers: workers, OutcomeLog: logPath, CheckpointDir: ckDir, Logger: logger,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: rerun: %v", workers, err)
+		}
+		if skips() != 1 {
+			t.Errorf("workers=%d: rerun skipped %d shards, want the short one", workers, skips())
+		}
+		if got, _ := res.Encode(); !bytes.Equal(got, wantJSON) {
+			t.Errorf("workers=%d: rerun result differs:\n%s\nvs\n%s", workers, got, wantJSON)
+		}
+		gotLog, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotLog, wantLog) {
+			t.Errorf("workers=%d: rerun outcome log differs (%d vs %d bytes)", workers, len(gotLog), len(wantLog))
+		}
 	}
 }
 

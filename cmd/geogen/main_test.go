@@ -60,12 +60,13 @@ func TestRunBinaryFormat(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("expected primary.bin.gz: %v", err)
 	}
-	format, err := trace.DetectFormat(path)
+	st, err := trace.OpenStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != trace.FormatBinary {
-		t.Fatalf("detected %v, want binary", format)
+	st.Close()
+	if st.Format != trace.FormatBinary {
+		t.Fatalf("detected %v, want binary", st.Format)
 	}
 	// The binary file decodes to the same dataset the JSON path writes
 	// (modulo E7 coordinate quantization, checked via user/checkin

@@ -41,8 +41,8 @@
 // under "checkpoints" in the spool (same parameter-fingerprint
 // namespacing), so a job interrupted by a crash or restart resumes
 // from its completed shards when retried; -checkpoints-max bounds the
-// retained run directories and -checkpoint-stale tunes how old crash
-// debris must be before it is swept. Shard sets accept live appends:
+// retained run directories, and crash debris older than an hour is
+// swept. Shard sets accept live appends:
 // POST /v1/datasets/{id}/append grows the corpus by a GSB1 delta
 // stream and revalidates it incrementally — only the appended users'
 // work is redone, and the new result is byte-identical to a cold
@@ -110,7 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		diskCacheMax = fs.Int("disk-cache-max", 0, "max persisted result/analysis entries, oldest pruned first (0 = unbounded)")
 		ckpts        = fs.Bool("checkpoints", false, "checkpoint shard-set validations under the spool so interrupted jobs resume")
 		ckptsMax     = fs.Int("checkpoints-max", 8, "max retained checkpoint run directories, oldest pruned first (0 = unbounded)")
-		ckptsStale   = fs.Duration("checkpoint-stale", 0, "age after which a crashed run's checkpoint temp files are swept (0 = default)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this address (off by default; bind loopback, the endpoint is unauthenticated)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -141,7 +140,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MaxDiskCache:      *diskCacheMax,
 		Checkpoints:       *ckpts,
 		MaxCheckpointRuns: *ckptsMax,
-		Stream:            geosocial.StreamOptions{Workers: *workers, CheckpointStale: *ckptsStale, Logger: logger},
+		Stream:            geosocial.StreamOptions{Workers: *workers, Logger: logger},
 		Logger:            logger,
 	})
 	if err != nil {

@@ -46,9 +46,9 @@
 // to an uninterrupted run (see docs/FORMAT.md for the fragment
 // format). Checkpoints are keyed by the manifest, the shard bytes, and
 // the validation parameters, so a stale or mismatched checkpoint is
-// never reused. The flag is ignored for single-file datasets.
-// -checkpoint-stale tunes how old an interrupted run's leftover
-// temporary files must be before a resuming run deletes them.
+// never reused. The flag is ignored for single-file datasets. A
+// resuming run deletes an interrupted run's leftover temporary files
+// once they are an hour old.
 //
 // With -update-from (and its required companion -prev-outcomes) the
 // run is incremental: -in must name a manifest grown by appended
@@ -109,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		asJSON   = fs.Bool("json", false, "emit the full StreamResult as JSON instead of the text report")
 		outcomes = fs.String("outcomes", "", "write a GSO1 outcome log here for geoanalyze (gzip when ending in .gz)")
 		ckpt     = fs.String("checkpoint", "", "checkpoint directory for resumable shard-set validation (completed shards are skipped on rerun)")
-		ckStale  = fs.Duration("checkpoint-stale", 0, "age after which a crashed run's checkpoint temp files are swept (0 = default)")
 		updFrom  = fs.String("update-from", "", "previous run's -json result document; revalidate only users the appended generations touched")
 		prevLog  = fs.String("prev-outcomes", "", "previous run's outcome log, required with -update-from (supplies the superseded per-user records)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the validation here (inspect with go tool pprof)")
@@ -162,11 +161,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	opts := geosocial.StreamOptions{
-		Params:          core.Params{Alpha: *alpha, Beta: *beta},
-		Workers:         *workers,
-		OutcomeLog:      *outcomes,
-		CheckpointDir:   *ckpt,
-		CheckpointStale: *ckStale,
+		Params:        core.Params{Alpha: *alpha, Beta: *beta},
+		Workers:       *workers,
+		OutcomeLog:    *outcomes,
+		CheckpointDir: *ckpt,
 		// Checkpoint lifecycle lines (hits, writes, unreadable
 		// fragments) go through the structured logger to stderr so they
 		// never disturb the report or the -json document on stdout.

@@ -22,8 +22,6 @@ package geosocial
 
 import (
 	"fmt"
-	"io"
-	"sync/atomic"
 
 	"geosocial/internal/checkpoint"
 	"geosocial/internal/classify"
@@ -65,8 +63,8 @@ type source struct {
 	src  trace.FrameSource
 	slot int
 	// ckpt, when non-nil, checkpoints the source into a fragment keyed
-	// by sum, committed the moment the source is fully consumed, so a
-	// kill loses at most the shards still in flight.
+	// by sum, committed when the merge reports the source's clean end,
+	// so a kill loses at most the shards still in flight.
 	ckpt *checkpoint.Store
 	sum  string
 }
@@ -113,8 +111,8 @@ type engine struct {
 	cls   classify.Params
 	slots []tally
 	spans []shardSpans
-	seen  map[int]int   // user ID -> slot, the duplicate-ID check
-	ckpts []*ckptSource // per source; nil unless checkpointed
+	seen  map[int]int // user ID -> slot, the duplicate-ID check
+	ckpts []ckptFrag  // per source; zero unless checkpointed
 
 	logging bool
 	logw    *outcome.Writer   // the fresh outcome log (no prior log)
@@ -148,7 +146,7 @@ func (p *plan) run(opts StreamOptions) (*StreamResult, error) {
 	}
 	defer func() {
 		for _, c := range e.ckpts {
-			if c != nil && c.frag != nil {
+			if c.frag != nil {
 				c.frag.Abort()
 			}
 		}
@@ -246,7 +244,7 @@ func (e *engine) merge() error {
 // each user in the deterministic merged order.
 func (e *engine) stream() error {
 	srcs := e.p.sources
-	e.ckpts = make([]*ckptSource, len(srcs))
+	e.ckpts = make([]ckptFrag, len(srcs))
 	next := make([]func() (trace.Frame, error), len(srcs))
 	// Once account has folded a user into the aggregates nothing holds
 	// the record (stats are counts, outcome records copy what they
@@ -265,10 +263,9 @@ func (e *engine) stream() error {
 		if err != nil {
 			return err
 		}
-		e.ckpts[j] = &ckptSource{FrameSource: s.src, frag: fr}
-		next[j] = e.ckpts[j].NextFrame
+		e.ckpts[j].frag = fr
 	}
-	err := par.MergeStreams(e.opts.Workers, next,
+	return par.MergeStreams(e.opts.Workers, next,
 		func(j, _ int, fr trace.Frame) (outcomeCls, error) {
 			s := &srcs[j]
 			sp := &e.spans[s.slot]
@@ -289,7 +286,7 @@ func (e *engine) stream() error {
 			if err != nil {
 				return err
 			}
-			if c := e.ckpts[j]; c != nil {
+			if c := &e.ckpts[j]; c.frag != nil {
 				c.ids = append(c.ids, oc.out.User.ID)
 				if oc.recBytes != nil {
 					if err := c.frag.AddRecord(oc.recBytes); err != nil {
@@ -300,42 +297,36 @@ func (e *engine) stream() error {
 			if recyclers[j] != nil {
 				recyclers[j].RecycleUser(oc.out.User)
 			}
-			return e.commitReady()
-		})
+			return nil
+		},
+		e.commit)
+}
+
+// commit publishes source j's checkpoint fragment, if it has one. The
+// merge calls it once the source has ended cleanly (which, for a
+// ShardReader, implies the manifest user count was verified) and every
+// user it yielded is accounted.
+func (e *engine) commit(j int) error {
+	c := &e.ckpts[j]
+	if c.frag == nil {
+		return nil
+	}
+	slot := e.p.sources[j].slot
+	t := &e.slots[slot]
+	commit := e.spans[slot].commit
+	t0 := commit.Start()
+	err := c.frag.Commit(&checkpoint.Meta{
+		Users:     t.users,
+		Partition: t.part,
+		Taxonomy:  t.tax,
+		Truth:     t.truth.Counts(),
+	}, c.ids)
+	commit.Stop(t0, t.users)
 	if err != nil {
 		return err
 	}
-	// In the serial merge a source's EOF is observed a round after its
-	// last user, so this final sweep catches what the per-user polls
-	// cannot.
-	return e.commitReady()
-}
-
-// commitReady publishes the fragment of every checkpointed source that
-// has been fully consumed: clean EOF latched and every frame it yielded
-// accounted.
-func (e *engine) commitReady() error {
-	for j, c := range e.ckpts {
-		if c == nil || c.frag == nil || !c.eof.Load() || len(c.ids) != c.n {
-			continue
-		}
-		slot := e.p.sources[j].slot
-		t := &e.slots[slot]
-		commit := e.spans[slot].commit
-		t0 := commit.Start()
-		err := c.frag.Commit(&checkpoint.Meta{
-			Users:     t.users,
-			Partition: t.part,
-			Taxonomy:  t.tax,
-			Truth:     t.truth.Counts(),
-		}, c.ids)
-		commit.Stop(t0, t.users)
-		if err != nil {
-			return err
-		}
-		c.frag = nil
-		e.opts.Logger.Printf("geosocial: shard %s: checkpoint written (%d users)", e.p.shards[slot], t.users)
-	}
+	c.frag = nil
+	e.opts.Logger.Printf("geosocial: shard %s: checkpoint written (%d users)", e.p.shards[slot], t.users)
 	return nil
 }
 
@@ -533,32 +524,11 @@ func (e *engine) finalize() (*StreamResult, error) {
 	return res, nil
 }
 
-// ckptSource wraps a checkpointed source with its fragment in progress
-// (nil once committed), the user IDs accounted to it, and its
-// end-of-stream latch. Frames are pulled on a producer goroutine while
-// commits are decided on the collecting goroutine: n is written only
-// before eof is set, so a reader that observes eof reads the final
-// count. The latch is polled, never waited on — in the serial merge a
-// source's EOF is observed one round after its last user.
-type ckptSource struct {
-	trace.FrameSource
+// ckptFrag is a checkpointed source's fragment in progress (nil once
+// committed) and the user IDs accounted to it.
+type ckptFrag struct {
 	frag *checkpoint.Frag
 	ids  []int
-	n    int // frames yielded
-	eof  atomic.Bool
-}
-
-// NextFrame forwards to the wrapped source, counting frames and
-// latching clean end of stream (which, for a ShardReader, implies the
-// manifest user count was verified).
-func (c *ckptSource) NextFrame() (trace.Frame, error) {
-	fr, err := c.FrameSource.NextFrame()
-	if err == io.EOF {
-		c.eof.Store(true)
-	} else if err == nil {
-		c.n++
-	}
-	return fr, err
 }
 
 // shardSpans bundles one slot's span cells. A zero shardSpans (spans

@@ -142,13 +142,6 @@ type StreamOptions struct {
 	// checkpoint; plain files ignore the field.
 	// See docs/FORMAT.md for the fragment format and atomicity contract.
 	CheckpointDir string
-	// CheckpointStale overrides how old a crashed run's temporary
-	// checkpoint file must be before it is swept at open
-	// (checkpoint.DefaultStaleAfter — one hour — when zero). It affects
-	// only the sweep, never the checkpoint key or the parameter
-	// fingerprint, so changing it does not invalidate existing
-	// checkpoints.
-	CheckpointStale time.Duration
 	// Logger, when non-nil, receives one info line per checkpoint event
 	// (shard skipped, checkpoint written, corrupt fragment recovered).
 	// A nil logger stays silent.
@@ -329,7 +322,7 @@ func planCheckpoints(p *plan, ss *trace.ShardSet, opts StreamOptions) error {
 	if opts.OutcomeLog != "" {
 		tag += "+log"
 	}
-	store, err := checkpoint.OpenStale(opts.CheckpointDir, checkpoint.ManifestChecksum(&ss.Manifest), tag, opts.CheckpointStale)
+	store, err := checkpoint.Open(opts.CheckpointDir, checkpoint.ManifestChecksum(&ss.Manifest), tag)
 	if err != nil {
 		return fmt.Errorf("geosocial: %w", err)
 	}

@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
@@ -42,10 +41,6 @@ import (
 // payloadVersion is the checkpoint payload schema version, stored in
 // the fragment's key header (the GSF1 envelope has its own version).
 const payloadVersion = "1"
-
-// DefaultStaleAfter is how old a temp file must be before Open sweeps
-// it, absent an explicit threshold.
-const DefaultStaleAfter = atomicfile.StaleAfter
 
 // Fragment section names, in file order. Records stream to disk while
 // the shard validates, so the aggregate sections land after them.
@@ -86,32 +81,18 @@ type Store struct {
 
 // Open creates the checkpoint directory if missing and sweeps temp
 // files left by crashed runs once they are older than
-// DefaultStaleAfter (age-based, so a concurrent run's live temp in the
-// same directory is never swept).
+// atomicfile.StaleAfter, the age the outcome log's sweep uses too
+// (age-based, so a concurrent run's live temp in the same directory is
+// never swept).
 func Open(dir, manifestSum, paramsTag string) (*Store, error) {
-	return OpenStale(dir, manifestSum, paramsTag, DefaultStaleAfter)
-}
-
-// OpenStale is Open with a caller-chosen stale-temp sweep threshold; a
-// non-positive threshold selects DefaultStaleAfter. A shorter threshold
-// reclaims crashed runs' space sooner at the cost of sweeping a
-// long-idle concurrent run's live temp; the sweep never touches
-// published fragments either way.
-func OpenStale(dir, manifestSum, paramsTag string, staleAfter time.Duration) (*Store, error) {
-	if staleAfter <= 0 {
-		staleAfter = DefaultStaleAfter
-	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
-	if err := atomicfile.SweepStale(dir, staleAfter); err != nil {
+	if err := atomicfile.SweepStale(dir, atomicfile.StaleAfter); err != nil {
 		return nil, fmt.Errorf("checkpoint: open dir: %w", err)
 	}
 	return &Store{dir: dir, manifestSum: manifestSum, paramsTag: paramsTag}, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // fragPath is the final on-disk location for one shard's fragment: the
 // name is a hash of the full key triple, so it is unique per (manifest,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
 )
 
@@ -223,7 +224,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	old := time.Now().Add(-2 * DefaultStaleAfter)
+	old := time.Now().Add(-2 * atomicfile.StaleAfter)
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
@@ -233,32 +234,6 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatal("fresh temp swept by Open")
-	}
-}
-
-// OpenStale honours a caller-chosen sweep threshold; non-positive
-// selects the default.
-func TestOpenStaleCustomThreshold(t *testing.T) {
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, ".tmp-1-3")
-	if err := os.WriteFile(tmp, []byte("partial"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-10 * time.Minute)
-	if err := os.Chtimes(tmp, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStale(dir, "sha256:m", "p", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		t.Fatal("10-minute-old temp swept under the default threshold")
-	}
-	if _, err := OpenStale(dir, "sha256:m", "p", 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("temp older than the custom threshold survived")
 	}
 }
 

@@ -32,6 +32,14 @@ type mergeSlot[T, R any] struct {
 //
 //   - sink sees every (shard, index, result) exactly once, in merged
 //     order, on the calling goroutine, for any worker count;
+//   - end(s) runs once for each source s that ends cleanly (next
+//     returned io.EOF), on the calling goroutine at the merged position
+//     where s would have delivered its next item: after sink has seen
+//     all of s's items, and in the same order relative to other sinks
+//     and ends for any worker count. The serial loop calls it when it
+//     reads the io.EOF; the pool, when the consumer finds s's order
+//     channel closed. A source whose next fails never ends, and an end
+//     error stops the run like a sink error;
 //   - when several items fail, the error returned is the one at the
 //     earliest merged position — exactly what the serial round-robin
 //     loop would have hit first;
@@ -42,7 +50,7 @@ type mergeSlot[T, R any] struct {
 //
 // Each next[s] is called from a single goroutine; f must be safe for
 // concurrent calls on distinct items.
-func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard, idx int, v T) (R, error), sink func(shard, idx int, r R) error) error {
+func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard, idx int, v T) (R, error), sink func(shard, idx int, r R) error, end func(shard int) error) error {
 	k := len(next)
 	if k == 0 {
 		return nil
@@ -65,6 +73,9 @@ func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard,
 				if err == io.EOF {
 					alive[s] = false
 					live--
+					if err := end(s); err != nil {
+						return err
+					}
 					continue
 				}
 				if err != nil {
@@ -151,8 +162,12 @@ func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard,
 		live := rotation[:0]
 		for _, s := range rotation {
 			sl, ok := <-orders[s]
-			if !ok {
-				continue // shard ended: drop it from the rotation
+			if !ok { // shard ended: drop it from the rotation
+				if err := end(s); err != nil {
+					firstErr = err
+					break
+				}
+				continue
 			}
 			<-sl.done
 			if sl.err != nil {

@@ -9,18 +9,24 @@ import (
 	"time"
 )
 
-// mergeRef computes the reference merged delivery order for the given
+// mergeRef computes the reference merged event order for the given
 // shard lengths: one item per live shard per round, shards in index
-// order.
+// order, and each shard's end ({s, -1}) in the round after its last
+// item, at the position its next item would have taken.
 func mergeRef(lens []int) [][2]int {
 	var out [][2]int
 	for round := 0; ; round++ {
 		progressed := false
 		for s, n := range lens {
-			if round < n {
+			switch {
+			case round < n:
 				out = append(out, [2]int{s, round})
-				progressed = true
+			case round == n:
+				out = append(out, [2]int{s, -1})
+			default:
+				continue
 			}
+			progressed = true
 		}
 		if !progressed {
 			return out
@@ -30,11 +36,13 @@ func mergeRef(lens []int) [][2]int {
 
 // TestMergeStreamsOrderAndResults pins the merged-order contract across
 // worker counts and uneven shard lengths: sink sees every (shard, idx,
-// result) exactly once, in the deterministic round-robin merged order.
+// result) exactly once, in the deterministic round-robin merged order,
+// and end(s) runs once per shard, after its last item, at its merged
+// position.
 func TestMergeStreamsOrderAndResults(t *testing.T) {
 	lens := []int{17, 0, 5, 40, 1}
 	want := mergeRef(lens)
-	for _, workers := range []int{1, 2, 4, 16} {
+	for _, workers := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			next := make([]func() (int, error), len(lens))
 			for s, n := range lens {
@@ -54,16 +62,20 @@ func TestMergeStreamsOrderAndResults(t *testing.T) {
 					}
 					got = append(got, [2]int{shard, idx})
 					return nil
+				},
+				func(shard int) error {
+					got = append(got, [2]int{shard, -1})
+					return nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("sink saw %d items, want %d", len(got), len(want))
+				t.Fatalf("saw %d events, want %d", len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("delivery %d = %v, want %v (merged order broken)", i, got[i], want[i])
+					t.Fatalf("event %d = %v, want %v (merged order broken)", i, got[i], want[i])
 				}
 			}
 		})
@@ -79,27 +91,33 @@ func seq(s, n int) []int {
 	return vals
 }
 
-// TestMergeStreamsEdges covers zero sources, all-empty sources, and a
-// single source.
+// TestMergeStreamsEdges covers zero sources, all-empty sources (each
+// still ends), and a single source.
 func TestMergeStreamsEdges(t *testing.T) {
 	if err := MergeStreams(8, nil,
 		func(s, i, v int) (int, error) { return v, nil },
-		func(s, i, r int) error { return nil }); err != nil {
+		func(s, i, r int) error { return nil },
+		func(s int) error { t.Error("end called with no sources"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
+		var ended []int
 		err := MergeStreams(workers,
 			[]func() (int, error){sliceNext(nil), sliceNext(nil)},
 			func(s, i, v int) (int, error) { t.Error("f called on empty streams"); return 0, nil },
-			func(s, i, r int) error { t.Error("sink called on empty streams"); return nil })
+			func(s, i, r int) error { t.Error("sink called on empty streams"); return nil },
+			func(s int) error { ended = append(ended, s); return nil })
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fmt.Sprint(ended) != "[0 1]" {
+			t.Errorf("workers=%d: empty sources ended %v, want [0 1]", workers, ended)
 		}
 		var got []int
 		err = MergeStreams(workers,
 			[]func() (int, error){sliceNext([]int{7, 8, 9})},
 			func(s, i, v int) (int, error) { return v, nil },
-			func(s, i, r int) error { got = append(got, r); return nil })
+			func(s, i, r int) error { got = append(got, r); return nil }, noEnd)
 		if err != nil || len(got) != 3 || got[0] != 7 || got[2] != 9 {
 			t.Fatalf("single source: got %v, err %v", got, err)
 		}
@@ -126,7 +144,7 @@ func TestMergeStreamsEarliestError(t *testing.T) {
 				}
 				return v, nil
 			},
-			func(shard, idx int, r int) error { return nil })
+			func(shard, idx int, r int) error { return nil }, noEnd)
 		if err == nil || err.Error() != "shard 1 item 2 failed" {
 			t.Errorf("workers=%d: err = %v, want shard 1 item 2", workers, err)
 		}
@@ -134,51 +152,84 @@ func TestMergeStreamsEarliestError(t *testing.T) {
 }
 
 // TestMergeStreamsSourceError propagates a failing next at its merged
-// position.
+// position. The short clean source ends before the failure; the failing
+// source never ends.
 func TestMergeStreamsSourceError(t *testing.T) {
 	srcErr := errors.New("shard 1 unreadable")
-	for _, workers := range []int{1, 8} {
-		var delivered [][2]int
+	for _, workers := range []int{1, 2, 8} {
+		var events [][2]int
+		items := sliceNext(seq(1, 4))
 		err := MergeStreams(workers,
 			[]func() (int, error){
-				sliceNext(seq(0, 10)),
-				func() (int, error) { return 0, srcErr },
+				sliceNext(seq(0, 2)),
+				func() (int, error) {
+					if v, err := items(); err != io.EOF {
+						return v, err
+					}
+					return 0, srcErr
+				},
 			},
 			func(shard, idx int, v int) (int, error) { return v, nil },
 			func(shard, idx int, r int) error {
-				delivered = append(delivered, [2]int{shard, idx})
+				events = append(events, [2]int{shard, idx})
+				return nil
+			},
+			func(shard int) error {
+				events = append(events, [2]int{shard, -1})
 				return nil
 			})
 		if !errors.Is(err, srcErr) {
 			t.Errorf("workers=%d: err = %v, want source error", workers, err)
 		}
-		// Merged order: (0,0) delivers, then shard 1's position fails.
-		if len(delivered) != 1 || delivered[0] != [2]int{0, 0} {
-			t.Errorf("workers=%d: delivered %v before the error, want [[0 0]]", workers, delivered)
+		// Merged order: both shards deliver two rounds, shard 0 ends,
+		// shard 1 delivers its last two items, then its position fails.
+		want := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, -1}, {1, 2}, {1, 3}}
+		if fmt.Sprint(events) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: events %v before the error, want %v", workers, events, want)
 		}
 	}
 }
 
-// TestMergeStreamsSinkError stops the run when sink fails.
+// TestMergeStreamsSinkError stops the run when sink or end fails, and
+// returns that error.
 func TestMergeStreamsSinkError(t *testing.T) {
-	sinkErr := errors.New("sink full")
-	for _, workers := range []int{1, 8} {
-		seen := 0
-		err := MergeStreams(workers,
-			[]func() (int, error){sliceNext(seq(0, 100)), sliceNext(seq(1, 100))},
-			func(shard, idx int, v int) (int, error) { return v, nil },
-			func(shard, idx int, r int) error {
-				seen++
-				if seen == 7 {
-					return sinkErr
-				}
-				return nil
-			})
-		if !errors.Is(err, sinkErr) {
-			t.Errorf("workers=%d: err = %v, want sink error", workers, err)
-		}
-		if seen != 7 {
-			t.Errorf("workers=%d: sink called %d times after error, want 7", workers, seen)
+	stopErr := errors.New("sink full")
+	for _, tc := range []struct {
+		name      string
+		sinkFails bool // else end fails
+		want      int  // sink calls before the run stops
+	}{
+		// Shard 0 has 3 items: its end is the 7th event, after 6 sinks.
+		{"sink", true, 7},
+		{"end", false, 6},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			seen := 0
+			err := MergeStreams(workers,
+				[]func() (int, error){sliceNext(seq(0, 3)), sliceNext(seq(1, 100))},
+				func(shard, idx int, v int) (int, error) { return v, nil },
+				func(shard, idx int, r int) error {
+					seen++
+					if tc.sinkFails && seen == 7 {
+						return stopErr
+					}
+					return nil
+				},
+				func(shard int) error {
+					if shard != 0 || seen != 6 {
+						t.Errorf("%s workers=%d: end(%d) after %d sinks, want end(0) after 6", tc.name, workers, shard, seen)
+					}
+					if !tc.sinkFails {
+						return stopErr
+					}
+					return nil
+				})
+			if !errors.Is(err, stopErr) {
+				t.Errorf("%s workers=%d: err = %v, want %v", tc.name, workers, err, stopErr)
+			}
+			if seen != tc.want {
+				t.Errorf("%s workers=%d: sink called %d times, want %d", tc.name, workers, seen, tc.want)
+			}
 		}
 	}
 }
@@ -211,7 +262,7 @@ func TestMergeStreamsBoundedInFlight(t *testing.T) {
 			time.Sleep(200 * time.Microsecond) // slow consumer
 			delivered.Add(1)
 			return nil
-		})
+		}, noEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +293,7 @@ func TestMergeStreamsConcurrencyCap(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			return v, nil
 		},
-		func(shard, idx int, r int) error { return nil })
+		func(shard, idx int, r int) error { return nil }, noEnd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,11 @@ import (
 func mapStream[T, R any](workers int, next func() (T, error), f func(i int, v T) (R, error), sink func(i int, r R) error) error {
 	return MergeStreams(workers, []func() (T, error){next},
 		func(_, i int, v T) (R, error) { return f(i, v) },
-		func(_, i int, r R) error { return sink(i, r) })
+		func(_, i int, r R) error { return sink(i, r) }, noEnd)
 }
+
+// noEnd is an end callback for tests that do not observe source ends.
+func noEnd(int) error { return nil }
 
 // sliceNext returns a next func streaming the given values then io.EOF.
 func sliceNext(vals []int) func() (int, error) {

@@ -79,9 +79,12 @@ func TestDecodeFrameSteadyStateAllocs(t *testing.T) {
 // fills it in place, so what it allocates does not grow with the GPS
 // trace. The budget is far below one trace; both ways of handing the
 // output back (the whole record, or its fixes alone while the checkins
-// are still read) stay within it.
+// are still read) stay within it. TotalAlloc is process-wide, so the
+// folds run under GOMAXPROCS(1), as testing.AllocsPerRun isolates its
+// count: other goroutines' allocations would count against FoldUser.
 func TestFoldSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	ds := shardTestDataset(4, 1)
 	base := ds.Users[0]
@@ -156,9 +159,11 @@ func TestOpenShardSteadyStateAllocs(t *testing.T) {
 // a pass over the base frames allocates no records or traces — neither
 // for users with delta frames (the base record goes back to the pool
 // after FoldUser copies it) nor for users without (the base passes
-// through and comes back from the consumer).
+// through and comes back from the consumer). Like the FoldUser test it
+// reads the process-wide TotalAlloc, so it measures under GOMAXPROCS(1).
 func TestFoldSourceSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	ds := shardTestDataset(16, 8)
 	for _, u := range ds.Users {

@@ -389,8 +389,12 @@ func TestSaveLoadBinaryFile(t *testing.T) {
 		if err := ds.SaveFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		f, err := trace.DetectFormat(path)
+		st, err := trace.OpenStream(path)
 		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f := st.Format
+		if err := st.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if f != trace.FormatBinary {
@@ -404,14 +408,15 @@ func TestSaveLoadBinaryFile(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch", name)
 		}
 	}
-	// An empty file is neither format: DetectFormat must error, not
-	// report JSON.
+	// An empty file is neither format: OpenStream must error, not
+	// open it as JSON.
 	empty := filepath.Join(dir, "empty.json")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.DetectFormat(empty); err == nil {
-		t.Error("empty file detected as a valid format")
+	if st, err := trace.OpenStream(empty); err == nil {
+		st.Close()
+		t.Errorf("empty file opened as a valid %v dataset", st.Format)
 	}
 
 	// Misleading suffix: binary bytes under a .json name still load.

@@ -210,32 +210,6 @@ func isBinary(br *bufio.Reader) bool {
 	return err == nil && [4]byte(hdr) == binaryMagic
 }
 
-// DetectFormat sniffs a dataset file's encoding from its magic bytes
-// (transparently looking through gzip); the file suffix is ignored.
-func DetectFormat(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return FormatJSON, fmt.Errorf("trace: detect format: %w", err)
-	}
-	defer f.Close()
-	br, gz, err := sniffReader(f, 1<<16)
-	if err != nil {
-		return FormatJSON, fmt.Errorf("trace: detect format: %w", err)
-	}
-	if gz != nil {
-		defer gz.Close()
-	}
-	if isBinary(br) {
-		return FormatBinary, nil
-	}
-	// "Not binary" must mean readable non-binary bytes, not a read
-	// failure: an empty or unreadable file is an error, never "JSON".
-	if _, err := br.Peek(1); err != nil {
-		return FormatJSON, fmt.Errorf("trace: detect format: %w", noEOF(err))
-	}
-	return FormatJSON, nil
-}
-
 // LoadFile reads a dataset from a file in either format and validates
 // it. Compression and encoding are detected from magic bytes, not the
 // file name. The whole dataset is materialized in memory; use OpenStream

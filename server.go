@@ -40,8 +40,8 @@ type ServerOptions struct {
 	// the watcher; uploads still work).
 	PollInterval time.Duration
 	// Stream carries the validation parameters, worker count and
-	// checkpoint sweep age (CheckpointStale) every job runs with,
-	// exactly as ValidateFileOpts and UpdateValidation interpret them.
+	// logger every job runs with, exactly as ValidateFileOpts and
+	// UpdateValidation interpret them.
 	// Its OutcomeLog and CheckpointDir fields are ignored: the service
 	// owns per-job log and checkpoint paths (see Outcomes and
 	// Checkpoints).
