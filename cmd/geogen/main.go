@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		scale   = fs.Float64("scale", 1.0, "population scale relative to the paper's 244+47 users")
 		seed    = fs.Uint64("seed", 42, "root RNG seed")
 		outDir  = fs.String("out", ".", "output directory")
-		gz      = fs.Bool("gz", true, "gzip-compress the output (GSB1 binary shrinks only about 1.34x, and reading it back costs about 1 ms/user of inflate)")
+		gz      = fs.Bool("gz", true, "gzip-compress the output (binary output at level 1, shards on parallel goroutines; GSB1 binary shrinks only about 1.34x, and reading it back costs about 1 ms/user of inflate)")
 		format  = fs.String("format", "json", "dataset encoding: json or binary")
 		dataset = fs.String("dataset", "both", "which dataset to generate: primary, baseline or both")
 		workers = fs.Int("workers", 0, "user-generation workers (0 = all cores, 1 = serial; output is identical)")

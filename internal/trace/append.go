@@ -496,7 +496,7 @@ func (aw *AppendWriter) Close() error {
 	var sink io.Writer = f
 	var gz *gzip.Writer
 	if aw.compress {
-		gz = gzip.NewWriter(f)
+		gz = newGSB1Gzip(f)
 		sink = gz
 	}
 	sw, err := NewStreamWriter(sink, name, aw.pois)

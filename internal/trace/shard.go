@@ -21,6 +21,13 @@ package trace
 // balanced even when user traces vary wildly in length. The assignment
 // depends only on the user order and their encodings, so a corpus
 // written twice from the same dataset is byte-identical.
+//
+// Each gzip shard deflates on its own goroutine (compressor): the
+// caller validates, assigns and encodes, and hands each 64 KiB flush of
+// a shard's StreamWriter to that shard's compressor through a small
+// bounded queue. Deflate is what a gzip write spends its time on, so
+// the shards compress on up to GOMAXPROCS cores while the bytes (and so
+// the assignment) stay those of the serial encoding.
 
 import (
 	"compress/gzip"
@@ -31,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -119,9 +127,118 @@ type ShardOptions struct {
 // shardFile is one open shard of a ShardWriter.
 type shardFile struct {
 	f     *atomicfile.File
-	final string // final file name, relative to the writer's directory
-	gz    *gzip.Writer
+	final string      // final file name, relative to the writer's directory
+	c     *compressor // nil for an uncompressed shard
 	sw    *StreamWriter
+}
+
+// chunksPerShard is how many StreamWriter flushes a compressor's queue
+// holds: enough that a shard's deflate keeps running while the caller
+// encodes users for the other shards, few enough that the memory stays
+// a few 64 KiB chunks per shard.
+const chunksPerShard = 4
+
+// compressSink is the writer a compressor deflates into, given the
+// shard's temporary file; tests replace it to inject write failures.
+var compressSink = func(f io.Writer) io.Writer { return f }
+
+// compressor gzips one shard on its own goroutine. Write queues a copy
+// of each chunk the shard's StreamWriter flushes; wait ends the stream
+// and returns once the goroutine has closed the gzip stream and exited.
+// The goroutine stops at its first error, which every later Write and
+// wait return.
+type compressor struct {
+	gz   *gzip.Writer
+	file string        // the shard's final name, for errors
+	cpu  chan struct{} // one token per core, shared by a writer's compressors
+	work chan []byte   // queued chunks, in stream order
+	free chan []byte   // chunks the goroutine is done with, for reuse
+	done chan struct{} // closed when the goroutine returns
+	err  error         // the goroutine's error, read only after done
+	shut bool          // work is closed
+}
+
+func newCompressor(f io.Writer, file string, cpu chan struct{}) *compressor {
+	c := &compressor{
+		gz:   newGSB1Gzip(compressSink(f)),
+		file: file,
+		cpu:  cpu,
+		work: make(chan []byte, chunksPerShard),
+		free: make(chan []byte, chunksPerShard),
+		done: make(chan struct{}),
+	}
+	for i := 0; i < chunksPerShard; i++ {
+		c.free <- nil // allocated on first use
+	}
+	go c.run()
+	return c
+}
+
+// run deflates the queued chunks in order, then closes the gzip stream.
+// Every chunk is in work, free or the hands of one side, so neither
+// channel send blocks.
+func (c *compressor) run() {
+	defer close(c.done)
+	for chunk := range c.work {
+		if c.err = c.deflate(func() error { _, err := c.gz.Write(chunk); return err }); c.err != nil {
+			return
+		}
+		c.free <- chunk
+	}
+	c.err = c.deflate(c.gz.Close)
+}
+
+// deflate runs one step of the stream while holding a core token, so a
+// writer's compressors together run on at most GOMAXPROCS cores.
+func (c *compressor) deflate(step func() error) error {
+	c.cpu <- struct{}{}
+	err := step()
+	<-c.cpu
+	if err != nil {
+		return fmt.Errorf("trace: shard writer: compress %s: %w", c.file, err)
+	}
+	return nil
+}
+
+// failed returns the goroutine's error once it has stopped on one.
+func (c *compressor) failed() error {
+	select {
+	case <-c.done:
+		return c.err
+	default:
+		return nil
+	}
+}
+
+// Write queues a copy of p: the StreamWriter reuses its buffer.
+func (c *compressor) Write(p []byte) (int, error) {
+	if err := c.failed(); err != nil {
+		return 0, err
+	}
+	var chunk []byte
+	select {
+	case chunk = <-c.free:
+	case <-c.done: // stopped on an error while holding a chunk
+		return 0, c.err
+	}
+	c.work <- append(chunk[:0], p...)
+	return len(p), nil
+}
+
+// end tells the goroutine no more chunks follow. Safe to call again.
+func (c *compressor) end() {
+	if !c.shut {
+		c.shut = true
+		close(c.work)
+	}
+}
+
+// wait ends the stream, waits for the goroutine to return and reports
+// its error.
+func (c *compressor) wait() error {
+	c.end()
+	<-c.done
+	return c.err
 }
 
 // ShardWriter writes a sharded binary corpus: N shard files plus a
@@ -154,6 +271,10 @@ func NewShardWriter(dir, name string, pois []poi.POI, opts ShardOptions) (*Shard
 		poiChecksum: POIChecksum(pois),
 		seen:        make(map[int]struct{}),
 	}
+	var cpu chan struct{}
+	if opts.Compress {
+		cpu = make(chan struct{}, runtime.GOMAXPROCS(0))
+	}
 	for i := 0; i < opts.Shards; i++ {
 		final := fmt.Sprintf("%s-%04d%s", name, i, FormatBinary.Ext())
 		if opts.Compress {
@@ -168,8 +289,8 @@ func NewShardWriter(dir, name string, pois []poi.POI, opts ShardOptions) (*Shard
 		w.shards = append(w.shards, sf)
 		var sink io.Writer = f
 		if opts.Compress {
-			sf.gz = gzip.NewWriter(f)
-			sink = sf.gz
+			sf.c = newCompressor(f, final, cpu)
+			sink = sf.c
 		}
 		if sf.sw, err = NewStreamWriter(sink, name, pois); err != nil {
 			w.discard()
@@ -182,6 +303,7 @@ func NewShardWriter(dir, name string, pois []poi.POI, opts ShardOptions) (*Shard
 // WriteUser validates the user and appends it to the currently smallest
 // shard (ties go to the lowest shard index). The assignment is a pure
 // function of the users written so far, so output is deterministic.
+// A shard whose compressor has failed fails every later WriteUser.
 func (w *ShardWriter) WriteUser(u *User) error {
 	if w.closed {
 		return fmt.Errorf("trace: shard writer: writer closed")
@@ -191,6 +313,11 @@ func (w *ShardWriter) WriteUser(u *User) error {
 	}
 	best := 0
 	for i, sf := range w.shards {
+		if sf.c != nil {
+			if err := sf.c.failed(); err != nil {
+				return err
+			}
+		}
 		if sf.sw.Bytes() < w.shards[best].sw.Bytes() {
 			best = i
 		}
@@ -207,8 +334,9 @@ func (w *ShardWriter) ManifestPath() string {
 	return filepath.Join(w.dir, w.name+ManifestSuffix)
 }
 
-// Close finishes every shard stream (sentinel, trailer, flush), commits
-// the shard files into place, and writes the manifest last. On error
+// Close finishes every shard stream (sentinel, trailer, flush), waits
+// for every compressor to close its gzip stream, commits the shard
+// files into place, and writes the manifest last. On error
 // the temporary files and the shards already committed are removed and
 // no manifest is written, unless the manifest was placed and only the
 // directory fsync after it failed (atomicfile.ErrSyncDir): the set is
@@ -228,10 +356,15 @@ func (w *ShardWriter) Close() error {
 			w.discard()
 			return err
 		}
-		if sf.gz != nil {
-			if err := sf.gz.Close(); err != nil {
+		if sf.c != nil {
+			sf.c.end()
+		}
+	}
+	for _, sf := range w.shards {
+		if sf.c != nil {
+			if err := sf.c.wait(); err != nil {
 				w.discard()
-				return fmt.Errorf("trace: shard writer: %w", err)
+				return err
 			}
 		}
 		m.Shards = append(m.Shards, ShardInfo{
@@ -273,11 +406,14 @@ func (w *ShardWriter) Close() error {
 	return err
 }
 
-// discard removes any temporary shard files (error path); the shards
-// already committed are the caller's to remove.
+// discard stops every compressor and removes any temporary shard files
+// (error path); the shards already committed are the caller's to remove.
 func (w *ShardWriter) discard() {
 	w.closed = true
 	for _, sf := range w.shards {
+		if sf.c != nil {
+			_ = sf.c.wait() // the temp goes; the caller reports the failure that led here
+		}
 		sf.f.Abort()
 	}
 }

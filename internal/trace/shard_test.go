@@ -2,11 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -157,6 +160,123 @@ func TestShardWriterDeterministic(t *testing.T) {
 			t.Errorf("%s differs between two identical writes", name)
 		}
 	}
+}
+
+// gunzip returns the decompressed bytes of a gzip file.
+func gunzip(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return raw
+}
+
+// readFile returns a file's bytes.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestCompressedShardsMatchPlain pins the gzip write path to the plain
+// one: whatever the shard count and however many cores the compressors
+// get, every gzip shard decompresses to the plain shard's bytes, the
+// manifests differ only in the ".gz" of the file names, and two writes
+// produce the same gzip bytes. The other GSB1 gzip writers, SaveFile
+// and an append delta, decompress to their plain counterparts too.
+func TestCompressedShardsMatchPlain(t *testing.T) {
+	ds := genShardDS(t, 0.05, 11) // 2-3 StreamWriter flushes per shard at 8 shards
+	save := func(t *testing.T, shards int, gz bool) string {
+		t.Helper()
+		manifest, err := ds.SaveShards(t.TempDir(), trace.ShardOptions{Shards: shards, Compress: gz})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return manifest
+	}
+	for _, shards := range []int{1, 3, 8} {
+		plain := save(t, shards, false)
+		plainRaw := readFile(t, plain)
+		for _, procs := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("shards=%d/procs=%d", shards, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				a, b := save(t, shards, true), save(t, shards, true)
+				wantRaw := bytes.ReplaceAll(plainRaw, []byte(`.bin"`), []byte(`.bin.gz"`))
+				if got := readFile(t, a); !bytes.Equal(got, wantRaw) {
+					t.Fatalf("gzip manifest differs from the plain one:\n%s\nwant\n%s", got, wantRaw)
+				}
+				for i := 0; i < shards; i++ {
+					name := fmt.Sprintf("%s-%04d.bin", ds.Name, i)
+					want := readFile(t, filepath.Join(filepath.Dir(plain), name))
+					if got := gunzip(t, filepath.Join(filepath.Dir(a), name+".gz")); !bytes.Equal(got, want) {
+						t.Fatalf("%s.gz decompresses to %d bytes that differ from the plain shard's %d", name, len(got), len(want))
+					}
+					if !bytes.Equal(readFile(t, filepath.Join(filepath.Dir(a), name+".gz")), readFile(t, filepath.Join(filepath.Dir(b), name+".gz"))) {
+						t.Fatalf("%s.gz differs between two writes", name)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("SaveFile", func(t *testing.T) {
+		dir := t.TempDir()
+		bin, gz := filepath.Join(dir, "d.bin"), filepath.Join(dir, "d.bin.gz")
+		for _, path := range []string{bin, gz} {
+			if err := ds.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(gunzip(t, gz), readFile(t, bin)) {
+			t.Fatal("d.bin.gz does not decompress to d.bin")
+		}
+	})
+
+	t.Run("append", func(t *testing.T) {
+		base := *ds
+		base.Users = ds.Users[:len(ds.Users)-3]
+		fresh := ds.Users[len(ds.Users)-3:] // new users: the delta carries them whole
+		deltaOf := func(gz bool) string {
+			manifest, err := base.SaveShards(t.TempDir(), trace.ShardOptions{Shards: 2, Compress: gz})
+			if err != nil {
+				t.Fatal(err)
+			}
+			aw, err := trace.OpenAppend(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range fresh {
+				if err := aw.WriteUser(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := aw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s-delta-0001.bin", ds.Name)
+			if gz {
+				name += ".gz"
+			}
+			return filepath.Join(filepath.Dir(manifest), name)
+		}
+		plain, gz := deltaOf(false), deltaOf(true)
+		if !bytes.Equal(gunzip(t, gz), readFile(t, plain)) {
+			t.Fatal("the gzip delta does not decompress to the plain delta")
+		}
+	})
 }
 
 // TestShardWriterRejectsCrossShardDuplicates covers the set-wide

@@ -1,7 +1,7 @@
 package geosocial_test
 
 // Ingest-scaling benchmarks: the same corpus validated as one binary
-// file and as 4- and 8-shard sets. With all cores available
+// file and as 4- and 8-shard sets, and the write of an 8-shard set. With all cores available
 // (workers=0), shard count is the I/O fan-out axis — each shard gets
 // its own frame-fetch goroutine while decode+validate share one worker
 // pool — so on multi-core hardware throughput should scale with shard
@@ -10,7 +10,10 @@ package geosocial_test
 //	go test -run '^$' -bench ValidateShards -benchtime 3x .
 //
 // and compare users/s across the sub-benchmarks; CI archives the
-// results as a BENCH_*.json artifact via cmd/benchjson.
+// results as a BENCH_*.json artifact via cmd/benchjson. SaveShards
+// times the write stage alone:
+//
+//	go test -run '^$' -bench SaveShards -benchtime 5x -benchmem .
 
 import (
 	"fmt"
@@ -77,6 +80,30 @@ func BenchmarkValidateShards(b *testing.B) {
 				b.Fatal(err)
 			}
 			bench(b, manifest, len(ds.Users))
+		})
+	}
+}
+
+// BenchmarkSaveShards measures the write stage: the same corpus saved
+// as an 8-shard set, gzip (each shard deflated on its own goroutine)
+// and plain.
+func BenchmarkSaveShards(b *testing.B) {
+	ds := shardBenchDataset(b)
+	for _, gz := range []bool{true, false} {
+		name := "plain"
+		if gz {
+			name = "gzip"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := b.TempDir()
+				b.StartTimer()
+				if _, err := ds.SaveShards(dir, trace.ShardOptions{Shards: 8, Compress: gz}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
