@@ -304,8 +304,9 @@ func (e *engine) stream() error {
 
 // commit publishes source j's checkpoint fragment, if it has one. The
 // merge calls it once the source has ended cleanly (which, for a
-// ShardReader, implies the manifest user count was verified) and every
-// user it yielded is accounted.
+// shard's StreamReader, implies its input ended at the trailer and the
+// manifest user count was verified) and every user it yielded is
+// accounted.
 func (e *engine) commit(j int) error {
 	c := &e.ckpts[j]
 	if c.frag == nil {

@@ -245,7 +245,7 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 		foldCell.Stop(t, ds.Len())
 		p.newUsers = make([]int, k)
 	}
-	readers := make([]*trace.ShardReader, k)
+	readers := make([]*trace.StreamReader, k)
 	defer func() {
 		for _, r := range readers {
 			if r != nil {

@@ -138,15 +138,9 @@ func (l *Logger) Log(lv Level, msg string, keyvals ...any) {
 	l.emit(lv, msg, keyvals)
 }
 
-// Debugf, Infof, Warnf and Errorf format a message at the respective
-// level with no structured fields beyond the standard ones.
+// Debugf and Errorf format a message at the respective level with no
+// structured fields beyond the standard ones.
 func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args) }
-
-// Infof logs a formatted message at LevelInfo.
-func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args) }
-
-// Warnf logs a formatted message at LevelWarn.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args) }
 
 // Errorf logs a formatted message at LevelError.
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args) }

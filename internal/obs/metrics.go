@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -23,11 +22,9 @@ type family struct {
 	name, help, typ string
 
 	counter    *Counter
-	gauge      *Gauge
 	intFunc    func() int64
 	floatFunc  func() float64
 	counterVec *CounterVec
-	gaugeVec   *GaugeVec
 	histVec    *HistogramVec
 	sampleFunc func() []Sample
 }
@@ -78,36 +75,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
 	r.add(&family{name: name, help: help, typ: "counter", counter: c})
 	return c
-}
-
-// Gauge is a float64 that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Add adds d atomically.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&family{name: name, help: help, typ: "gauge", gauge: g})
-	return g
 }
 
 // RegisterCounterFunc exposes fn as a counter sampled at scrape time,
@@ -192,21 +159,6 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 // matching the registered label names), creating it on first use.
 func (cv *CounterVec) With(values ...string) *Counter {
 	return cv.vec.child(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a gauge family with a fixed label-name set.
-type GaugeVec struct{ vec labeledVec }
-
-// NewGaugeVec registers and returns a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	gv := &GaugeVec{vec: labeledVec{names: labelNames, children: make(map[string]any)}}
-	r.add(&family{name: name, help: help, typ: "gauge", gaugeVec: gv})
-	return gv
-}
-
-// With returns the gauge for the given label values.
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	return gv.vec.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram is a fixed-bucket histogram. Observations and snapshots are

@@ -51,7 +51,7 @@ func TestLoggerJSONFormat(t *testing.T) {
 func TestLoggerLevelsAndNil(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelWarn, FormatText, "t")
-	l.Infof("dropped %d", 1)
+	l.Printf("dropped %d", 1)
 	l.Debugf("dropped")
 	if buf.Len() != 0 {
 		t.Fatalf("below-level lines emitted: %q", buf.String())
@@ -61,7 +61,7 @@ func TestLoggerLevelsAndNil(t *testing.T) {
 		t.Fatalf("error line missing: %q", buf.String())
 	}
 	var nilLogger *Logger
-	nilLogger.Infof("must not panic")
+	nilLogger.Printf("must not panic")
 	nilLogger.Log(LevelError, "must not panic")
 	if nilLogger.Enabled(LevelError) {
 		t.Fatal("nil logger reports enabled")
@@ -255,8 +255,7 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_events_total", "Total events.")
 	c.Add(1000000) // must render as 1000000, not 1e+06
-	g := r.NewGauge("test_temperature", "Current temperature.")
-	g.Set(36.6)
+	r.RegisterGaugeFunc("test_temperature", "Current temperature.", func() float64 { return 36.6 })
 	r.RegisterCounterFunc("test_func_total", "Sampled at scrape.", func() int64 { return 42 })
 	r.RegisterGaugeIntFunc("test_queue_depth", "Queue depth.", func() int64 { return 7 })
 	cv := r.NewCounterVec("test_requests_total", "Requests by route.", "route", "status")
@@ -321,24 +320,6 @@ func TestHistogramVecExposition(t *testing.T) {
 	}
 	if errs := LintExposition(buf.Bytes()); len(errs) != 0 {
 		t.Fatalf("self-lint failed: %v\n--- payload:\n%s", errs, out)
-	}
-}
-
-func TestGaugeAddConcurrent(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); got != 4000 {
-		t.Fatalf("gauge = %g, want 4000", got)
 	}
 }
 

@@ -36,8 +36,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case f.counter != nil:
 			writeIntSample(&sb, f.name, nil, f.counter.Value())
-		case f.gauge != nil:
-			writeFloatSample(&sb, f.name, nil, f.gauge.Value())
 		case f.intFunc != nil:
 			writeIntSample(&sb, f.name, nil, f.intFunc())
 		case f.floatFunc != nil:
@@ -54,11 +52,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			for _, k := range f.counterVec.vec.sortedKeys() {
 				c := f.counterVec.With(strings.Split(k, "\x00")...)
 				writeIntSample(&sb, f.name, f.counterVec.vec.labelsFor(k), c.Value())
-			}
-		case f.gaugeVec != nil:
-			for _, k := range f.gaugeVec.vec.sortedKeys() {
-				g := f.gaugeVec.With(strings.Split(k, "\x00")...)
-				writeFloatSample(&sb, f.name, f.gaugeVec.vec.labelsFor(k), g.Value())
 			}
 		case f.histVec != nil:
 			hv := f.histVec

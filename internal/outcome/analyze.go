@@ -136,19 +136,6 @@ func Detector(path string, d classify.BurstDetector) ([]detect.Example, classify
 	return all, burst, st, nil
 }
 
-// Examples is Detector without the burstiness baseline.
-func Examples(path string) ([]detect.Example, error) {
-	all, _, _, err := Detector(path, classify.BurstDetector{})
-	return all, err
-}
-
-// BurstScore evaluates the §5.3 burstiness detector against the log's
-// classifications in one pass.
-func BurstScore(path string, d classify.BurstDetector) (classify.DetectorScore, error) {
-	_, sc, _, err := Detector(path, d)
-	return sc, err
-}
-
 // Samples reassembles the three §6.1 Levy fitting samples from a log,
 // merged in canonical user order — exactly the samples
 // eval.FitModelsFromSamples and eval.Fig7FromSamples expect.

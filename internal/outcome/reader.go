@@ -97,7 +97,7 @@ func (rd *Reader) Next() (*Record, error) {
 
 // payload reads the next record's payload into the reader's buffer
 // (valid until the next call), or returns io.EOF once the trailer has
-// been read and verified.
+// been read and verified and the input has ended there.
 func (rd *Reader) payload() ([]byte, error) {
 	if rd.done {
 		return nil, io.EOF
@@ -114,6 +114,16 @@ func (rd *Reader) payload() ([]byte, error) {
 		}
 		if count != rd.users {
 			return nil, fmt.Errorf("outcome: trailer record count %d, decoded %d", count, rd.users)
+		}
+		// The input ends at the trailer: one more read reports io.EOF
+		// with no byte, and for gzip input it is the read that verifies
+		// the stream's CRC-32 and length.
+		switch _, err := rd.r.ReadByte(); err {
+		case nil:
+			return nil, fmt.Errorf("outcome: bytes after trailer")
+		case io.EOF:
+		default:
+			return nil, fmt.Errorf("outcome: read past trailer: %w", err)
 		}
 		rd.done = true
 		return nil, io.EOF

@@ -63,17 +63,6 @@ func CategoryNames() []string {
 	return append([]string(nil), categoryNames[:]...)
 }
 
-// ParseCategory converts a name produced by Category.String back to a
-// Category.
-func ParseCategory(name string) (Category, error) {
-	for i, n := range categoryNames {
-		if n == name {
-			return Category(i), nil
-		}
-	}
-	return 0, fmt.Errorf("poi: unknown category %q", name)
-}
-
 // Routine reports whether the category is a "boring or routine" place in
 // the paper's sense (§4.2): locations tied to daily routine — work,
 // shopping, eating, home, campus — where users typically do not bother to

@@ -17,21 +17,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestCategoryParseRoundTrip(t *testing.T) {
-	for _, c := range Categories() {
-		got, err := ParseCategory(c.String())
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if got != c {
-			t.Errorf("round trip %v -> %v", c, got)
-		}
-	}
-	if _, err := ParseCategory("Nope"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestCategoriesComplete(t *testing.T) {
 	if len(Categories()) != 9 || NumCategories != 9 {
 		t.Fatalf("expected 9 categories, got %d", len(Categories()))

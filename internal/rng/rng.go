@@ -209,44 +209,3 @@ func (s *Stream) Poisson(mean float64) int {
 		k++
 	}
 }
-
-// Zipf returns a value in [0, n) drawn from a Zipf distribution with
-// exponent sexp (probability of rank r proportional to 1/(r+1)^sexp),
-// using precomputed weights supplied by a ZipfTable.
-type ZipfTable struct {
-	cum []float64 // cumulative weights, len n, cum[n-1] == total
-}
-
-// NewZipfTable builds a sampling table for ranks [0, n) with exponent sexp.
-// It panics if n <= 0.
-func NewZipfTable(n int, sexp float64) *ZipfTable {
-	if n <= 0 {
-		panic("rng: NewZipfTable requires n > 0")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for r := 0; r < n; r++ {
-		total += 1 / math.Pow(float64(r+1), sexp)
-		cum[r] = total
-	}
-	return &ZipfTable{cum: cum}
-}
-
-// N returns the number of ranks in the table.
-func (z *ZipfTable) N() int { return len(z.cum) }
-
-// Sample draws one rank from the table using stream s.
-func (z *ZipfTable) Sample(s *Stream) int {
-	u := s.Float64() * z.cum[len(z.cum)-1]
-	// Binary search for the first cum[i] > u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}

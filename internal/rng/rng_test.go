@@ -235,35 +235,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestZipfTable(t *testing.T) {
-	s := New(16)
-	z := NewZipfTable(10, 1.0)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Sample(s)]++
-	}
-	// Rank 0 should dominate and ranks must be monotone decreasing in
-	// expectation; allow noise but check the ends.
-	if counts[0] <= counts[9] {
-		t.Fatalf("Zipf rank 0 (%d) not more frequent than rank 9 (%d)", counts[0], counts[9])
-	}
-	// P(rank 0) for Zipf(s=1, n=10) is 1/H10 ~= 0.3414.
-	p0 := float64(counts[0]) / n
-	if math.Abs(p0-0.3414) > 0.02 {
-		t.Fatalf("Zipf p(0) = %g, want ~0.3414", p0)
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipfTable(0, 1) did not panic")
-		}
-	}()
-	NewZipfTable(0, 1)
-}
-
 func TestRangeBounds(t *testing.T) {
 	s := New(17)
 	for i := 0; i < 1000; i++ {

@@ -269,13 +269,12 @@ func (fs foldSource) RecycleUser(u *User) {
 // replaces the manifest. Nothing on disk changes before Close, and a
 // failed Close leaves the set exactly as it was.
 type AppendWriter struct {
-	ss           *ShardSet
-	manifestPath string
-	pois         []poi.POI
-	compress     bool
-	users        []*User
-	byID         map[int]*User
-	closed       bool
+	ss       *ShardSet
+	pois     []poi.POI
+	compress bool
+	users    []*User
+	byID     map[int]*User
+	closed   bool
 }
 
 // OpenAppend opens a shard set (manifest path or directory) for
@@ -287,12 +286,6 @@ func OpenAppend(path string) (*AppendWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	manifestPath := path
-	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		if manifestPath, err = findManifest(path); err != nil {
-			return nil, err
-		}
-	}
 	r, err := ss.OpenShard(0)
 	if err != nil {
 		return nil, err
@@ -302,11 +295,10 @@ func OpenAppend(path string) (*AppendWriter, error) {
 		return nil, fmt.Errorf("trace: append: %w", err)
 	}
 	return &AppendWriter{
-		ss:           ss,
-		manifestPath: manifestPath,
-		pois:         pois,
-		compress:     strings.HasSuffix(ss.Manifest.Shards[0].File, ".gz"),
-		byID:         make(map[int]*User),
+		ss:       ss,
+		pois:     pois,
+		compress: strings.HasSuffix(ss.Manifest.Shards[0].File, ".gz"),
+		byID:     make(map[int]*User),
 	}, nil
 }
 
@@ -320,7 +312,7 @@ func (aw *AppendWriter) POIs() []poi.POI { return aw.pois }
 func (aw *AppendWriter) Generation() int { return aw.ss.Manifest.Generation + 1 }
 
 // ManifestPath returns the manifest path Close rewrites.
-func (aw *AppendWriter) ManifestPath() string { return aw.manifestPath }
+func (aw *AppendWriter) ManifestPath() string { return aw.ss.path }
 
 // WriteUser buffers one delta user: for an ID that exists in the set,
 // only the newly appended GPS fixes and checkins (with the user's
@@ -358,11 +350,9 @@ func (aw *AppendWriter) AppendStream(r io.Reader) error {
 		if sr, err = NewStreamReader(br); err != nil {
 			return err
 		}
-		if sr.Name() != aw.ss.Manifest.Name {
-			return fmt.Errorf("trace: append: stream is for dataset %q, set is %q", sr.Name(), aw.ss.Manifest.Name)
-		}
-		if sum := POIChecksum(sr.POIs()); sum != aw.ss.Manifest.POIChecksum {
-			return fmt.Errorf("trace: append: stream POI checksum %s, set has %s", sum, aw.ss.Manifest.POIChecksum)
+		if _, err := aw.ss.checkHeader(sr, "trace: append: stream is for dataset %q, set is %q",
+			"trace: append: stream POI checksum %s, set has %s"); err != nil {
+			return err
 		}
 	}
 	for {
@@ -379,46 +369,17 @@ func (aw *AppendWriter) AppendStream(r io.Reader) error {
 	}
 }
 
-// scanExisting walks every existing shard once, collecting the seam
-// spans of the buffered users' frames in shard-list order. Only
-// matching frames are decoded (a cheap ID peek skips the rest), and
-// fully, so a corrupt frame fails the append. Each shard's matching
-// frames decode on the worker pool before the shard is closed, so a
-// mapped frame needs no copy and one shard's frames are held at a time;
-// each decoded record goes straight back to the pool once its span is
-// taken. The error is the serial scan's: the first failure in shard
-// order, from a decode or from the scan.
+// scanExisting walks every existing shard once (ShardSet.ScanTouched),
+// collecting the seam spans of the buffered users' frames in shard-list
+// order. Only matching frames are decoded, and fully, so a corrupt
+// frame fails the append. Each shard's matching frames decode on the
+// worker pool before the shard is closed, so a mapped frame needs no
+// copy and one shard's frames are held at a time; each decoded record
+// goes straight back to the pool once its span is taken.
 func (aw *AppendWriter) scanExisting() (map[int][]frameSpan, error) {
 	parts := make(map[int][]frameSpan, len(aw.byID))
-	var frames []Frame
-	for i := range aw.ss.Manifest.Shards {
-		r, err := aw.ss.OpenShard(i)
-		if err != nil {
-			return nil, err
-		}
-		frames = frames[:0]
-		var scanErr error
-		for {
-			f, err := r.NextFrame()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				scanErr = err
-				break
-			}
-			id, err := f.UserID()
-			if err != nil {
-				r.Recycle(f)
-				scanErr = err
-				break
-			}
-			if _, touched := aw.byID[id]; !touched {
-				r.Recycle(f)
-				continue
-			}
-			frames = append(frames, f)
-		}
+	touched := func(id int) bool { _, ok := aw.byID[id]; return ok }
+	err := aw.ss.ScanTouched(len(aw.ss.Manifest.Shards), touched, func(_ int, r *StreamReader, frames []Frame, _ []int) error {
 		spans, err := par.Map(0, len(frames), func(k int) (frameSpan, error) {
 			u, err := r.DecodeFrame(frames[k])
 			if err != nil {
@@ -428,19 +389,13 @@ func (aw *AppendWriter) scanExisting() (map[int][]frameSpan, error) {
 			r.RecycleUser(u)
 			return s, nil
 		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
 		for _, s := range spans {
 			parts[s.id] = append(parts[s.id], s)
 		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("trace: append: close shard: %w", err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return parts, nil
 }
@@ -519,7 +474,7 @@ func (aw *AppendWriter) Close() error {
 
 	// The superseded manifest's checksum goes into the audit chain
 	// before the file is replaced.
-	prevRaw, err := os.ReadFile(aw.manifestPath)
+	prevRaw, err := os.ReadFile(aw.ss.path)
 	if err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
@@ -554,7 +509,7 @@ func (aw *AppendWriter) Close() error {
 		}
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	err = writeManifest(aw.manifestPath, &m)
+	err = writeManifest(aw.ss.path, &m)
 	if err != nil && !errors.Is(err, atomicfile.ErrSyncDir) {
 		os.Remove(finalPath)
 	}

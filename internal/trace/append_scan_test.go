@@ -138,6 +138,8 @@ func rebuildStream(t *testing.T, stream []byte, e scanEdit) []byte {
 // with the error a serial scan reports — the first failure in shard
 // order, from a decode or from the scan — for mapped and gzip sets at
 // any GOMAXPROCS, and leave every file of the set byte-identical.
+// ShardSet.ScanTouched, with a callback that decodes serially, reports
+// the same error.
 func TestAppendCorruptTouchedFrames(t *testing.T) {
 	ds := shardTestDataset(8, 48)
 	touched := func(id int) bool { return id%3 == 1 }
@@ -243,6 +245,20 @@ func TestAppendCorruptTouchedFrames(t *testing.T) {
 					err = aw.Close()
 					if got := errText(err); got != tc.want {
 						t.Fatalf("Close error\n got %q\nwant %q", got, tc.want)
+					}
+					err = ss.ScanTouched(4, touched, func(_ int, r *StreamReader, frames []Frame, _ []int) error {
+						for k, f := range frames {
+							if _, err := r.DecodeFrame(f); err != nil {
+								for _, rest := range frames[k+1:] {
+									r.Recycle(rest)
+								}
+								return err
+							}
+						}
+						return nil
+					})
+					if got := errText(err); got != tc.want {
+						t.Fatalf("ScanTouched error\n got %q\nwant %q", got, tc.want)
 					}
 					after := dirDigest(t, dir)
 					if len(after) != len(before) {

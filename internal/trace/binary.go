@@ -194,27 +194,12 @@ func (d *frameDec) f64() float64 {
 	return v
 }
 
-func (d *frameDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("trace: binary frame: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("trace: binary frame: truncated string at offset %d", d.pos)
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
+func (d *frameDec) str() string { return d.strIntern(nil) }
 
-// strIntern is str resolving the bytes through an intern table first:
-// a hit returns the canonical string without allocating (the compiler
-// elides the string conversion in a map lookup), a miss copies as usual.
+// strIntern decodes a string, resolving its bytes through an intern
+// table first: a hit returns the canonical string without allocating
+// (the compiler elides the string conversion in a map lookup), a miss
+// (always, for a nil table) copies.
 func (d *frameDec) strIntern(names map[string]string) string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -448,6 +433,10 @@ func (sw *StreamWriter) Close() error {
 // Next, not DecodeFrame: callers of the two-stage API that interleave
 // frames from several readers own the (inherently serial) duplicate
 // check across their merged stream.
+//
+// A reader opened from a file (OpenStream, ShardSet.OpenShard) owns
+// the file, its mapping or its gzip layer, which Close releases; a
+// shard's reader also checks the manifest's user count at the end.
 type StreamReader struct {
 	r     *bufio.Reader
 	name  string
@@ -455,12 +444,15 @@ type StreamReader struct {
 	names map[string]string // POI-name intern table, read-only after header
 	seen  map[int]struct{}
 	users uint64
-	done  bool
+	end   error // io.EOF after a verified end, else the error the end met; nil before
 
 	// In-memory mode (NewStreamReaderBytes): frames are sliced straight
 	// out of mm — no copy, no buffer pool. Nil for io.Reader streams.
 	mm    []byte
 	mmPos int
+
+	shard *ShardInfo     // the shard's manifest entry, nil for a plain stream
+	owned []func() error // Close calls these, in order
 }
 
 // Decode scratch is pooled process-wide, not per reader: a long-running
@@ -716,12 +708,12 @@ func (sr *StreamReader) Next() (*User, error) {
 }
 
 // NextFrame fetches the next raw user frame without decoding it, or
-// io.EOF once the end-of-stream trailer has been read and verified. The
-// frame's buffer comes from the buffer pool and is reclaimed by
-// DecodeFrame, so each frame must be decoded exactly once.
+// io.EOF once the end-of-stream trailer has been read and verified (see
+// finish). The frame's buffer comes from the buffer pool and is
+// reclaimed by DecodeFrame, so each frame must be decoded exactly once.
 func (sr *StreamReader) NextFrame() (Frame, error) {
-	if sr.done {
-		return Frame{}, io.EOF
+	if sr.end != nil {
+		return Frame{}, sr.end
 	}
 	if sr.mm != nil {
 		return sr.nextFrameBytes()
@@ -731,16 +723,7 @@ func (sr *StreamReader) NextFrame() (Frame, error) {
 		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
 	}
 	if frameLen == 0 {
-		// Sentinel: verify the trailer then report a clean end.
-		count, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return Frame{}, fmt.Errorf("trace: read binary trailer: %w", noEOF(err))
-		}
-		if count != sr.users {
-			return Frame{}, fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
-		}
-		sr.done = true
-		return Frame{}, io.EOF
+		return Frame{}, sr.finish()
 	}
 	if frameLen > maxFrameBytes {
 		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
@@ -794,17 +777,7 @@ func (sr *StreamReader) nextFrameBytes() (Frame, error) {
 	}
 	sr.mmPos += n
 	if frameLen == 0 {
-		// Sentinel: verify the trailer then report a clean end.
-		count, n := binary.Uvarint(sr.mm[sr.mmPos:])
-		if n <= 0 {
-			return Frame{}, fmt.Errorf("trace: read binary trailer: %w", io.ErrUnexpectedEOF)
-		}
-		sr.mmPos += n
-		if count != sr.users {
-			return Frame{}, fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
-		}
-		sr.done = true
-		return Frame{}, io.EOF
+		return Frame{}, sr.finish()
 	}
 	if frameLen > maxFrameBytes {
 		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
@@ -816,6 +789,65 @@ func (sr *StreamReader) nextFrameBytes() (Frame, error) {
 	sr.mmPos += int(frameLen)
 	sr.users++
 	return Frame{data: data}, nil
+}
+
+// finish verifies what follows the sentinel: the trailer's user count,
+// then the end of the input, then a shard's count in the manifest. The
+// input ends at the trailer: a mapping holds no byte after it, and one
+// more buffered read reports io.EOF with no byte, which for gzip input
+// is also the read that verifies the stream's CRC-32 and length. The
+// verdict, io.EOF for a clean end, answers every later NextFrame.
+func (sr *StreamReader) finish() error {
+	var count uint64
+	var err error
+	if sr.mm != nil {
+		n := 0
+		if count, n = binary.Uvarint(sr.mm[sr.mmPos:]); n <= 0 {
+			return fmt.Errorf("trace: read binary trailer: %w", io.ErrUnexpectedEOF)
+		}
+		sr.mmPos += n
+	} else if count, err = binary.ReadUvarint(sr.r); err != nil {
+		return fmt.Errorf("trace: read binary trailer: %w", noEOF(err))
+	}
+	if count != sr.users {
+		return fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
+	}
+	if sr.mm == nil {
+		_, err = sr.r.ReadByte()
+	} else if sr.mmPos == len(sr.mm) {
+		err = io.EOF
+	}
+	switch {
+	case err == nil:
+		sr.end = fmt.Errorf("trace: bytes after binary trailer")
+	case err != io.EOF:
+		sr.end = fmt.Errorf("trace: read past binary trailer: %w", err)
+	case sr.shard != nil && int(sr.users) != sr.shard.Users:
+		sr.end = fmt.Errorf("trace: shard has %d users, manifest says %d", sr.users, sr.shard.Users)
+	default:
+		sr.end = io.EOF
+	}
+	return sr.end
+}
+
+// Close releases what the reader's opener acquired: the file, its
+// mapping or its gzip layer; a reader from NewStreamReader or
+// NewStreamReaderBytes owns none, and Close does nothing. Safe to call
+// more than once. DecodeFrame and the recycling methods stay usable
+// afterwards, for frames that own their bytes (see Frame.Detach);
+// NextFrame fails unless the stream had already ended.
+func (sr *StreamReader) Close() error {
+	var first error
+	for _, c := range sr.owned {
+		if err := c(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if sr.owned != nil && sr.end == nil {
+		sr.end = fmt.Errorf("trace: read binary frame: reader closed")
+	}
+	sr.owned = nil
+	return first
 }
 
 // RecycleUser returns a decoded user to the record pool so a

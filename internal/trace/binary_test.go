@@ -7,6 +7,7 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -437,35 +438,22 @@ func TestSaveLoadBinaryFile(t *testing.T) {
 	}
 }
 
-// TestOpenStreamBothFormats verifies OpenStream yields the same user
-// sequence for the JSON (slurped) and binary (streamed) encodings of one
-// dataset.
+// TestOpenStreamBothFormats: every way a dataset file opens yields the
+// same header and users — JSON, and GSB1 through OpenStream and
+// ShardSet.OpenShard, each mapped, buffered (SetMmapDisabled) and gzip.
+// On each GSB1 path a shard's end checks the manifest's user count, and
+// keeps failing; Close is safe twice; a detached frame decodes after
+// Close; and the open errors keep their wording.
 func TestOpenStreamBothFormats(t *testing.T) {
-	dir := t.TempDir()
 	ds := binaryRoundTrip(t, genDataset(t, 11, 0.02))
-	jsonPath := filepath.Join(dir, "ds.json.gz")
-	binPath := filepath.Join(dir, "ds.bin.gz")
+	jsonPath := filepath.Join(t.TempDir(), "ds.json.gz")
 	if err := ds.SaveFile(jsonPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveFile(binPath); err != nil {
-		t.Fatal(err)
-	}
-	collect := func(path string, wantFormat trace.Format) []*trace.User {
-		s, err := trace.OpenStream(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if s.Format != wantFormat {
-			t.Fatalf("%s: format %v, want %v", path, s.Format, wantFormat)
-		}
-		if s.Name != ds.Name || len(s.POIs) != len(ds.POIs) {
-			t.Fatalf("%s: header mismatch", path)
-		}
+	readAll := func(src trace.UserSource) []*trace.User {
 		var users []*trace.User
 		for {
-			u, err := s.Next()
+			u, err := src.Next()
 			if err == io.EOF {
 				return users
 			}
@@ -475,9 +463,150 @@ func TestOpenStreamBothFormats(t *testing.T) {
 			users = append(users, u)
 		}
 	}
-	fromJSON := collect(jsonPath, trace.FormatJSON)
-	fromBin := collect(binPath, trace.FormatBinary)
-	if !reflect.DeepEqual(fromJSON, fromBin) {
-		t.Fatal("user streams differ between JSON and binary files")
+	js, err := trace.OpenStream(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.Format != trace.FormatJSON {
+		t.Fatalf("JSON file opened as %v", js.Format)
+	}
+	want := readAll(js)
+	js.Close()
+	if !reflect.DeepEqual(want, ds.Users) {
+		t.Fatal("JSON stream differs from the dataset")
+	}
+
+	// The header of TestValidateFileErrors: one venue of category 99.
+	badHdr := binary.AppendVarint([]byte("GSB1\x01\x03bad\x01\x01p"), 99)
+	badHdr = append(badHdr, make([]byte, 2+8)...)
+	const badPOI = "trace: invalid POI table: poi: POI 0 has invalid category 99"
+
+	for _, tc := range []struct {
+		name       string
+		mapped, gz bool
+	}{{"mapped", true, false}, {"buffered", false, false}, {"gzip", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer trace.SetMmapDisabled(trace.SetMmapDisabled(!tc.mapped))
+			dir := t.TempDir()
+			file := filepath.Join(dir, "ds.bin")
+			if tc.gz {
+				file += ".gz"
+			}
+			if err := ds.SaveFile(file); err != nil {
+				t.Fatal(err)
+			}
+			manifest, err := ds.SaveShards(dir, trace.ShardOptions{Shards: 1, Compress: tc.gz})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := trace.OpenShardSet(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard := ss.Manifest.Shards[0].File
+			opens := []struct {
+				name string
+				open func() (*trace.StreamReader, error)
+			}{
+				{"OpenStream", func() (*trace.StreamReader, error) {
+					st, err := trace.OpenStream(file)
+					if err != nil {
+						return nil, err
+					}
+					if st.Format != trace.FormatBinary || st.Name != ds.Name || !reflect.DeepEqual(st.POIs, ds.POIs) {
+						t.Errorf("OpenStream: header %v %q differs", st.Format, st.Name)
+					}
+					return st.Frames().(*trace.StreamReader), nil
+				}},
+				{"OpenShard", func() (*trace.StreamReader, error) { return ss.OpenShard(0) }},
+			}
+			for _, o := range opens {
+				r, err := o.open()
+				if err != nil {
+					t.Fatalf("%s: %v", o.name, err)
+				}
+				if r.Name() != ds.Name || !reflect.DeepEqual(r.POIs(), ds.POIs) {
+					t.Errorf("%s: header differs", o.name)
+				}
+				if got := readAll(r); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: users differ from the JSON stream", o.name)
+				}
+				if err := r.Close(); err != nil {
+					t.Errorf("%s: Close: %v", o.name, err)
+				}
+				if err := r.Close(); err != nil {
+					t.Errorf("%s: second Close: %v", o.name, err)
+				}
+
+				r, err = o.open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := r.NextFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f = f.Detach()
+				r.Close()
+				if u, err := r.DecodeFrame(f); err != nil || !reflect.DeepEqual(u, want[0]) {
+					t.Errorf("%s: detached frame after Close: %v", o.name, err)
+				}
+			}
+
+			// A manifest count off by one fails at the verified end, and
+			// again on the next call.
+			mutateManifest(t, manifest, func(m *trace.Manifest) { m.Users++; m.Shards[0].Users++ })
+			off, err := trace.OpenShardSet(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := off.OpenShard(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for {
+				f, err := r.NextFrame()
+				if err != nil {
+					break
+				}
+				r.Recycle(f)
+			}
+			countErr := fmt.Sprintf("trace: shard has %d users, manifest says %d", len(want), len(want)+1)
+			for call := 0; call < 2; call++ {
+				if _, err := r.NextFrame(); fmt.Sprint(err) != countErr {
+					t.Errorf("end call %d: %q, want %q", call, fmt.Sprint(err), countErr)
+				}
+			}
+
+			// Open errors keep each caller's wording.
+			bad := badHdr
+			if tc.gz {
+				var buf bytes.Buffer
+				zw := gzip.NewWriter(&buf)
+				zw.Write(badHdr)
+				zw.Close()
+				bad = buf.Bytes()
+			}
+			for _, path := range []string{file, filepath.Join(dir, shard)} {
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := trace.OpenStream(file); fmt.Sprint(err) != badPOI {
+				t.Errorf("OpenStream: %q, want %q", fmt.Sprint(err), badPOI)
+			}
+			if _, err := ss.OpenShard(0); fmt.Sprint(err) != "trace: shard "+shard+": "+badPOI {
+				t.Errorf("OpenShard: %q", fmt.Sprint(err))
+			}
+			os.Remove(file)
+			os.Remove(filepath.Join(dir, shard))
+			if _, err := trace.OpenStream(file); !strings.HasPrefix(fmt.Sprint(err), "trace: open dataset: ") {
+				t.Errorf("OpenStream of a missing file: %q", fmt.Sprint(err))
+			}
+			if _, err := ss.OpenShard(0); !strings.HasPrefix(fmt.Sprint(err), "trace: open shard "+shard+": ") {
+				t.Errorf("OpenShard of a missing file: %q", fmt.Sprint(err))
+			}
+		})
 	}
 }

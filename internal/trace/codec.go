@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -176,18 +177,13 @@ func SetMmapDisabled(v bool) bool {
 	return prev
 }
 
-// closerFunc adapts a plain func to io.Closer (for unmap functions).
-type closerFunc func() error
-
-func (c closerFunc) Close() error { return c() }
-
 // mapBinary is the zero-copy path for an open file: when the file is
 // mappable and holds an uncompressed binary dataset, it returns the
 // mapping and its unmap closer, and readers slice frames straight out of
 // the mapping. Any other outcome (gzip, JSON, unsupported platform or
 // file) reports ok=false with the file offset untouched, and the caller
 // runs the buffered streaming path instead.
-func mapBinary(f *os.File) (data []byte, unmap io.Closer, ok bool) {
+func mapBinary(f *os.File) (data []byte, unmap func() error, ok bool) {
 	if mmapDisabled {
 		return nil, nil, false
 	}
@@ -199,7 +195,7 @@ func mapBinary(f *os.File) (data []byte, unmap io.Closer, ok bool) {
 		unmapFn()
 		return nil, nil, false
 	}
-	return data, closerFunc(unmapFn), true
+	return data, unmapFn, true
 }
 
 // sniffReader detects gzip by magic bytes (regardless of file suffix) and
@@ -262,8 +258,7 @@ type DatasetStream struct {
 	// Format is the detected on-disk encoding.
 	Format Format
 
-	src     UserSource
-	closers []io.Closer
+	src UserSource
 }
 
 // Next yields the next user, or io.EOF after the last one.
@@ -285,78 +280,96 @@ func (s *DatasetStream) DB() (*poi.DB, error) { return poi.NewDB(s.POIs) }
 
 // Close releases the stream's file handles. Safe to call more than once.
 func (s *DatasetStream) Close() error {
-	var first error
-	for _, c := range s.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if sr, ok := s.src.(*StreamReader); ok {
+		return sr.Close()
 	}
-	s.closers = nil
-	return first
+	return nil
 }
 
 // OpenStream opens a dataset file for per-user iteration, sniffing
 // compression and encoding from magic bytes. Uncompressed binary files
 // are memory-mapped where the platform supports it, so frame bytes are
 // sliced from the mapping instead of copied through io.Reader; gzip
-// input, JSON input and other platforms use the buffered streaming
-// path, with identical results. Callers must Close the returned stream.
+// input and other platforms use the buffered streaming path, with
+// identical results. A JSON file loads whole, as its document model
+// requires. Callers must Close the returned stream.
 func OpenStream(path string) (*DatasetStream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open dataset: %w", err)
-	}
-	if data, unmap, ok := mapBinary(f); ok {
-		sr, err := NewStreamReaderBytes(data)
+	sr, _, err := openFile(path, nil, "")
+	if err == errNotGSB1 {
+		ds, err := ReadJSON(sr.r)
+		sr.Close()
 		if err != nil {
-			unmap.Close()
-			f.Close()
 			return nil, err
 		}
-		return &DatasetStream{
-			Name:    sr.Name(),
-			POIs:    sr.POIs(),
-			Format:  FormatBinary,
-			src:     sr,
-			closers: []io.Closer{unmap, f},
-		}, nil
-	}
-	br, gz, err := sniffReader(f, 1<<16)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: open dataset: %w", err)
-	}
-	closers := []io.Closer{f}
-	if gz != nil {
-		closers = []io.Closer{gz, f}
-	}
-	if isBinary(br) {
-		sr, err := NewStreamReader(br)
-		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
-			return nil, err
-		}
-		return &DatasetStream{
-			Name:    sr.Name(),
-			POIs:    sr.POIs(),
-			Format:  FormatBinary,
-			src:     sr,
-			closers: closers,
-		}, nil
-	}
-	ds, err := ReadJSON(br)
-	for _, c := range closers {
-		c.Close()
+		return &DatasetStream{Name: ds.Name, POIs: ds.POIs, Format: FormatJSON, src: ds.Source()}, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &DatasetStream{
-		Name:   ds.Name,
-		POIs:   ds.POIs,
-		Format: FormatJSON,
-		src:    ds.Source(),
-	}, nil
+	return &DatasetStream{Name: sr.Name(), POIs: sr.POIs(), Format: FormatBinary, src: sr}, nil
+}
+
+// errNotGSB1 is openFile's report that a dataset file is not a GSB1
+// stream (OpenStream then reads it as JSON).
+var errNotGSB1 = errors.New("trace: not a GSB1 stream")
+
+// openFile opens the file at path as a GSB1 stream: the one open path
+// of OpenStream and ShardSet.OpenShard. An uncompressed stream is
+// mapped where the platform allows (mapBinary); any other input is read
+// buffered, through the gzip layer its sniffed magic calls for. A
+// stream whose header bytes equal h's shares h's checked name and table
+// (checked is true); any other header is parsed in full. The reader's
+// Close releases the file, mapping and gzip layer.
+//
+// shard is the shard's file name, "" for a dataset file, and words the
+// errors: an open or gzip error follows "trace: open dataset:" or
+// "trace: open shard <file>:", and a header error is returned as it is
+// or follows "trace: shard <file>:". A dataset file that is not GSB1
+// fails with errNotGSB1 and a reader holding only the buffered input,
+// which OpenStream reads as JSON and then closes.
+func openFile(path string, h *checkedHeader, shard string) (sr *StreamReader, checked bool, err error) {
+	openErr := func(err error) error {
+		if shard == "" {
+			return fmt.Errorf("trace: open dataset: %w", err)
+		}
+		return fmt.Errorf("trace: open shard %s: %w", shard, err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, openErr(err)
+	}
+	var owned []func() error
+	if data, unmap, ok := mapBinary(f); ok {
+		owned = []func() error{unmap, f.Close}
+		if sr, checked = h.readerBytes(data); !checked {
+			sr, err = NewStreamReaderBytes(data)
+		}
+	} else {
+		br, gz, gzErr := sniffReader(f, h.bufSize())
+		if gzErr != nil {
+			f.Close()
+			return nil, false, openErr(gzErr)
+		}
+		owned = []func() error{f.Close}
+		if gz != nil {
+			owned = []func() error{gz.Close, f.Close}
+		}
+		if shard == "" && !isBinary(br) {
+			return &StreamReader{r: br, owned: owned}, false, errNotGSB1
+		}
+		if sr, checked = h.reader(br); !checked {
+			sr, err = NewStreamReader(br)
+		}
+	}
+	if err != nil {
+		for _, c := range owned {
+			c()
+		}
+		if shard != "" {
+			err = fmt.Errorf("trace: shard %s: %w", shard, err)
+		}
+		return nil, false, err
+	}
+	sr.owned = owned
+	return sr, checked, nil
 }

@@ -30,6 +30,7 @@ package trace
 // the assignment) stay those of the serial encoding.
 
 import (
+	"cmp"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/json"
@@ -466,6 +467,7 @@ type ShardSet struct {
 	// Dir is the directory shard file names resolve against.
 	Dir string
 
+	path string // the manifest file
 	// hdr is the first shard header OpenShard verified, nil until then.
 	hdr atomic.Pointer[checkedHeader]
 }
@@ -494,7 +496,7 @@ func OpenShardSet(path string) (*ShardSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardSet{Manifest: *m, Dir: filepath.Dir(path)}, nil
+	return &ShardSet{Manifest: *m, Dir: filepath.Dir(path), path: path}, nil
 }
 
 // parseManifest decodes and validates a manifest document. It is a pure
@@ -583,143 +585,102 @@ func findManifest(dir string) (string, error) {
 	}
 }
 
-// ShardReader streams one shard of a shard set. It is a FrameSource
-// whose end-of-stream additionally verifies the shard against the
-// manifest (user count); the header was verified against the manifest
-// at open time (name and POI checksum).
-type ShardReader struct {
-	sr      *StreamReader
-	closers []func() error
-	seen    map[int]struct{}
-	want    int
-}
-
 // OpenShard opens shard i for streaming and verifies its header carries
-// the manifest's dataset name and an identical POI table. The first
-// shard that passes leaves its header, canonically encoded, on the set;
-// a later shard whose header bytes equal it shares the decoded table
-// instead of parsing and checksumming it again (any other bytes take
-// the full check). Safe for concurrent calls.
-func (ss *ShardSet) OpenShard(i int) (*ShardReader, error) {
+// the manifest's dataset name and an identical POI table; the reader's
+// clean end also verifies the manifest's user count for the shard. The
+// first shard that passes leaves its header, canonically encoded, on
+// the set; a later shard whose header bytes equal it shares the decoded
+// table instead of parsing and checksumming it again (any other bytes
+// take the full check). The table may thus be shared with the set's
+// other readers; callers must not mutate it. Safe for concurrent calls.
+func (ss *ShardSet) OpenShard(i int) (*StreamReader, error) {
 	if i < 0 || i >= len(ss.Manifest.Shards) {
 		return nil, fmt.Errorf("trace: shard %d out of range (set has %d)", i, len(ss.Manifest.Shards))
 	}
-	info := ss.Manifest.Shards[i]
-	path := filepath.Join(ss.Dir, info.File)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
-	}
+	info := &ss.Manifest.Shards[i]
 	h := ss.hdr.Load()
-	var sr *StreamReader
-	var closers []func() error
-	fail := func(err error) (*ShardReader, error) {
-		for _, c := range closers {
-			c()
-		}
+	sr, checked, err := openFile(filepath.Join(ss.Dir, info.File), h, info.File)
+	if err != nil {
 		return nil, err
 	}
-	checked := false
-	if data, unmap, ok := mapBinary(f); ok {
-		closers = []func() error{unmap.Close, f.Close}
-		if sr, checked = h.readerBytes(data); !checked {
-			if sr, err = NewStreamReaderBytes(data); err != nil {
-				return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
-			}
-		}
-	} else {
-		br, gz, err := sniffReader(f, h.bufSize())
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
-		}
-		closers = []func() error{f.Close}
-		if gz != nil {
-			closers = []func() error{gz.Close, f.Close}
-		}
-		if sr, checked = h.reader(br); !checked {
-			if sr, err = NewStreamReader(br); err != nil {
-				return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
-			}
-		}
-	}
 	if !checked {
-		if sr.Name() != ss.Manifest.Name {
-			return fail(fmt.Errorf("trace: shard %s: dataset name %q, manifest says %q", info.File, sr.Name(), ss.Manifest.Name))
-		}
-		table := encodePOITable(nil, sr.POIs())
-		if sum := tableChecksum(table); sum != ss.Manifest.POIChecksum {
-			return fail(fmt.Errorf("trace: shard %s: POI table checksum %s, manifest says %s", info.File, sum, ss.Manifest.POIChecksum))
+		table, err := ss.checkHeader(sr, "trace: shard %s: dataset name %q, manifest says %q",
+			"trace: shard %s: POI table checksum %s, manifest says %s", info.File)
+		if err != nil {
+			sr.Close()
+			return nil, err
 		}
 		if h == nil {
 			ss.hdr.CompareAndSwap(nil, newCheckedHeader(sr, table))
 		}
 	}
-	return &ShardReader{sr: sr, closers: closers, want: info.Users}, nil
+	sr.shard = info
+	return sr, nil
 }
 
-// POIs returns the shard's decoded POI table (identical across the set,
-// as enforced by the manifest checksum). The slice may be shared with
-// the set's other readers; callers must not mutate it.
-func (r *ShardReader) POIs() []poi.POI { return r.sr.POIs() }
-
-// NextFrame fetches the next raw frame; at the verified end of the
-// stream it additionally checks the frame count against the manifest
-// before reporting io.EOF.
-func (r *ShardReader) NextFrame() (Frame, error) {
-	f, err := r.sr.NextFrame()
-	if err == nil {
-		return f, nil
+// checkHeader verifies that sr's header carries the set's dataset name
+// and POI table, and returns the table's encoding. It is the one header
+// check of OpenShard and AppendWriter.AppendStream, which each word a
+// mismatch: nameFmt or sumFmt, applied to args and then the stream's
+// value and the manifest's.
+func (ss *ShardSet) checkHeader(sr *StreamReader, nameFmt, sumFmt string, args ...any) ([]byte, error) {
+	if sr.Name() != ss.Manifest.Name {
+		return nil, fmt.Errorf(nameFmt, append(args, sr.Name(), ss.Manifest.Name)...)
 	}
-	if err == io.EOF && r.sr.Users() != r.want {
-		return Frame{}, fmt.Errorf("trace: shard has %d users, manifest says %d", r.sr.Users(), r.want)
+	table := encodePOITable(nil, sr.POIs())
+	if sum := tableChecksum(table); sum != ss.Manifest.POIChecksum {
+		return nil, fmt.Errorf(sumFmt, append(args, sum, ss.Manifest.POIChecksum)...)
 	}
-	return Frame{}, err
+	return table, nil
 }
 
-// DecodeFrame decodes and validates one frame (see StreamReader.DecodeFrame).
-func (r *ShardReader) DecodeFrame(f Frame) (*User, error) { return r.sr.DecodeFrame(f) }
-
-// Recycle returns an undecoded frame's buffer to the buffer pool (see
-// StreamReader.Recycle).
-func (r *ShardReader) Recycle(f Frame) { r.sr.Recycle(f) }
-
-// RecycleUser returns a consumed user record to the record pool (see
-// StreamReader.RecycleUser and the UserRecycler contract).
-func (r *ShardReader) RecycleUser(u *User) { r.sr.RecycleUser(u) }
-
-// Next decodes the next user serially (NextFrame + DecodeFrame plus a
-// reader-local duplicate check), so a single shard can also be read as
-// a plain UserSource.
-func (r *ShardReader) Next() (*User, error) {
-	f, err := r.NextFrame()
-	if err != nil {
-		return nil, err
-	}
-	u, err := r.sr.DecodeFrame(f)
-	if err != nil {
-		return nil, err
-	}
-	if r.seen == nil {
-		r.seen = make(map[int]struct{})
-	}
-	if _, dup := r.seen[u.ID]; dup {
-		return nil, fmt.Errorf("trace: invalid shard: duplicate user ID %d", u.ID)
-	}
-	r.seen[u.ID] = struct{}{}
-	return u, nil
-}
-
-// Close releases the shard's file handles. Safe to call more than once.
-// DecodeFrame and the recycling methods stay usable afterwards, for
-// frames that own their bytes (see Frame.Detach).
-func (r *ShardReader) Close() error {
-	var first error
-	for _, c := range r.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
+// ScanTouched walks the set's first n shards once, in order, peeking
+// each frame's user ID (Frame.UserID) without decoding the frame. The
+// frames whose IDs touched reports go to fn with their IDs, one call
+// per shard with that shard's reader, in stream order, before the
+// reader closes; every other frame is recycled unread. fn owns the
+// frames it is handed: it decodes, detaches (Frame.Detach) or recycles
+// each through r, and must not keep the slices. A shard whose stream
+// breaks still hands fn the frames before the break, and fn's error
+// wins over the break's, so the error returned is the first a serial
+// read in shard order would meet.
+func (ss *ShardSet) ScanTouched(n int, touched func(id int) bool, fn func(shard int, r *StreamReader, frames []Frame, ids []int) error) error {
+	var frames []Frame
+	var ids []int
+	for i := 0; i < n; i++ {
+		r, err := ss.OpenShard(i)
+		if err != nil {
+			return err
+		}
+		frames, ids = frames[:0], ids[:0]
+		var scanErr error
+		for {
+			f, err := r.NextFrame()
+			if err != nil {
+				if err != io.EOF {
+					scanErr = err
+				}
+				break
+			}
+			id, err := f.UserID()
+			if err != nil {
+				r.Recycle(f)
+				scanErr = err
+				break
+			}
+			if touched(id) {
+				frames, ids = append(frames, f), append(ids, id)
+			} else {
+				r.Recycle(f)
+			}
+		}
+		if err := fn(i, r, frames, ids); err != nil || scanErr != nil {
+			r.Close()
+			return cmp.Or(err, scanErr)
+		}
+		if err := r.Close(); err != nil {
+			return fmt.Errorf("trace: close shard %s: %w", ss.Manifest.Shards[i].File, err)
 		}
 	}
-	r.closers = nil
-	return first
+	return nil
 }

@@ -10,7 +10,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -239,9 +238,6 @@ type Dataset struct {
 	// Users holds the participants.
 	Users []*User `json:"users"`
 }
-
-// ErrEmptyDataset is returned when an operation requires at least one user.
-var ErrEmptyDataset = errors.New("trace: empty dataset")
 
 // Validate checks every user and the POI table. Beyond per-trace
 // invariants it enforces the dataset-level ones: user IDs must be unique

@@ -191,7 +191,7 @@ func TestLogBackedAnalysesExactlyEqualInMemory(t *testing.T) {
 	t.Run("burst", func(t *testing.T) {
 		d := classify.BurstDetector{MaxGap: 2 * time.Minute}
 		want := classify.EvaluateBurstDetector(outs, cls, d)
-		got, err := outcome.BurstScore(logPath, d)
+		_, got, _, err := outcome.Detector(logPath, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestLogBackedAnalysesExactlyEqualInMemory(t *testing.T) {
 
 	t.Run("detector", func(t *testing.T) {
 		wantEx := detect.ExtractAll(outs)
-		gotEx, err := outcome.Examples(logPath)
+		gotEx, _, _, err := outcome.Detector(logPath, classify.BurstDetector{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ package geosocial
 
 import (
 	"fmt"
-	"io"
 
 	"geosocial/internal/outcome"
 	"geosocial/internal/trace"
@@ -93,58 +92,35 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	touched := ds.IDs()
+	if ss.Manifest.Shards[0].Delta { // a manifest lists its base shards first
+		return nil, fmt.Errorf("geosocial: update: shard set has no base shards")
+	}
 
-	// Scan the earlier shards once, keeping only the touched users'
-	// frames, undecoded (everything else is a cheap ID peek); the fold
-	// pass decodes them on the worker pool. A touched user's home shard —
-	// the one its stats live in — is the first shard holding a frame of
-	// it, exactly the cold path's attribution rule. chains[i] holds the
-	// frames of touched[i]. Kept frames are detached from the shard's
-	// mapping, so each shard is closed (and unmapped) once scanned.
+	// Scan the earlier shards once (ShardSet.ScanTouched), keeping only
+	// the touched users' frames, undecoded; the fold pass decodes them
+	// on the worker pool. A touched user's home shard — the one its
+	// stats live in — is the first shard holding a frame of it, exactly
+	// the cold path's attribution rule. chains[i] holds the frames of
+	// touched[i]. Kept frames are detached from the shard's mapping, so
+	// each shard is closed (and unmapped) once scanned.
 	pos := make(map[int]int, len(touched))
 	for i, id := range touched {
 		pos[id] = i
 	}
 	chains := make([][]heldFrame, len(touched))
 	homeShard := make(map[int]int, len(touched))
-	base := false
-	for i := 0; i < old; i++ {
-		r, err := ss.OpenShard(i)
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		base = base || !ss.Manifest.Shards[i].Delta
-		for {
-			f, err := r.NextFrame()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-			id, err := f.UserID()
-			if err != nil {
-				r.Recycle(f)
-				r.Close()
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-			at, hit := pos[id]
-			if !hit {
-				r.Recycle(f)
-				continue
-			}
+	hit := func(id int) bool { _, ok := pos[id]; return ok }
+	if err := ss.ScanTouched(old, hit, func(i int, r *trace.StreamReader, frames []trace.Frame, ids []int) error {
+		for k, f := range frames {
+			id := ids[k]
 			if _, ok := homeShard[id]; !ok {
 				homeShard[id] = i
 			}
-			chains[at] = append(chains[at], heldFrame{r: r, f: f.Detach()})
+			chains[pos[id]] = append(chains[pos[id]], heldFrame{r: r, f: f.Detach()})
 		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-	}
-	if !base {
-		return nil, fmt.Errorf("geosocial: update: shard set has no base shards")
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 
 	// The plan: the previous result's per-shard stats and taxonomy are
@@ -205,7 +181,7 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 // heldFrame is an undecoded base frame of a touched user with the
 // (closed) reader that fetched it, which decodes it.
 type heldFrame struct {
-	r *trace.ShardReader
+	r *trace.StreamReader
 	f trace.Frame
 }
 
