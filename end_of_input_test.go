@@ -8,14 +8,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	"geosocial/internal/checkpoint"
 	"geosocial/internal/outcome"
 	"geosocial/internal/trace"
 )
 
-// TestCorruptEndOfInputFails: a GSB1 stream or GSO1 log whose bytes
-// run on past the trailer, or whose gzip CRC-32 or length is wrong,
-// fails on every read path instead of reporting a clean end. Each case
-// first reads the intact bytes through the same path, which must pass.
+// TestCorruptEndOfInputFails: a GSB1 stream, GSO1 log or GSF1
+// checkpoint fragment whose bytes run on past the trailer, or whose
+// gzip CRC-32 or length is wrong, fails on every read path instead of
+// reporting a clean end. Each case first reads the intact bytes
+// through the same path, which must pass. A checkpointed run over such
+// a fragment removes it, revalidates the shard and writes exactly what
+// an uninterrupted run writes.
 func TestCorruptEndOfInputFails(t *testing.T) {
 	s := getStudy(t)
 	ds := &trace.Dataset{Name: s.Primary.Name, POIs: s.Primary.POIs, Users: s.Primary.Users[:6]}
@@ -128,6 +132,50 @@ func TestCorruptEndOfInputFails(t *testing.T) {
 		return outcome.Append(writeLog(dir, data), filepath.Join(dir, "next.gso"), nil, nil)
 	}
 
+	// A one-shard set, an uninterrupted run over it, and the fragment a
+	// checkpointed run commits for its shard.
+	setDir := t.TempDir()
+	manifest, err := ds.SaveShards(setDir, trace.ShardOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLog := filepath.Join(setDir, "ref.gso")
+	ref, err := ValidateFileOpts(manifest, StreamOptions{OutcomeLog: refLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckDir := filepath.Join(setDir, "ck")
+	if _, err := ValidateFileOpts(manifest, StreamOptions{OutcomeLog: filepath.Join(setDir, "ck.gso"), CheckpointDir: ckDir}); err != nil {
+		t.Fatal(err)
+	}
+	frags, err := filepath.Glob(filepath.Join(ckDir, "ckpt-*.gsf"))
+	if err != nil || len(frags) != 1 {
+		t.Fatalf("found %d fragments, want 1 (%v)", len(frags), err)
+	}
+	fragment, err := os.ReadFile(frags[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := trace.OpenShardSet(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardSum, err := checkpoint.FileChecksum(filepath.Join(setDir, ss.Manifest.Shards[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadFragment := func(_ string, data []byte) error {
+		if err := os.WriteFile(frags[0], data, 0o644); err != nil {
+			return err
+		}
+		store, err := checkpoint.Open(ckDir, checkpoint.ManifestChecksum(&ss.Manifest), validationFingerprint(StreamOptions{})+"+log")
+		if err != nil {
+			return err
+		}
+		_, _, err = store.Load(shardSum, nil)
+		return err
+	}
+
 	for _, tc := range []struct {
 		name           string
 		read           func(dir string, data []byte) error
@@ -148,6 +196,7 @@ func TestCorruptEndOfInputFails(t *testing.T) {
 		{"outcome.Scan/4 bytes after", scanLog, log, extra(log, 4)},
 		{"outcome.Append/gzip/CRC-32", appendLog, gz(log), flip(gz(log), 8)},
 		{"outcome.Append/4 bytes after", appendLog, log, extra(log, 4)},
+		{"checkpoint.Load/8 bytes after", loadFragment, fragment, extra(fragment, 8)},
 	} {
 		if err := tc.read(t.TempDir(), tc.clean); err != nil {
 			t.Errorf("%s: intact input: %v", tc.name, err)
@@ -155,5 +204,36 @@ func TestCorruptEndOfInputFails(t *testing.T) {
 		if err := tc.read(t.TempDir(), tc.corrupt); err == nil {
 			t.Errorf("%s: corrupt input read to a clean end", tc.name)
 		}
+	}
+
+	// Resume over the fragment with bytes after its trailer.
+	if err := os.WriteFile(frags[0], extra(fragment, 8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logger, unreadable := countingLogger("checkpoint unreadable, revalidating")
+	resumedLog := filepath.Join(setDir, "resumed.gso")
+	resumed, err := ValidateFileOpts(manifest, StreamOptions{OutcomeLog: resumedLog, CheckpointDir: ckDir, Logger: logger})
+	if err != nil {
+		t.Fatalf("resume over a fragment with bytes after its trailer: %v", err)
+	}
+	if unreadable() != 1 {
+		t.Errorf("%d fragments reported unreadable, want 1", unreadable())
+	}
+	if got, err := os.ReadFile(frags[0]); err != nil || !bytes.Equal(got, fragment) {
+		t.Errorf("the revalidated shard's fragment is not the one a clean run commits (%v)", err)
+	}
+	want, err := ref.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := resumed.Encode(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("resumed result differs from an uninterrupted run's (%v)", err)
+	}
+	wantLog, err := os.ReadFile(refLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(resumedLog); err != nil || !bytes.Equal(got, wantLog) {
+		t.Errorf("resumed outcome log differs from an uninterrupted run's (%v)", err)
 	}
 }

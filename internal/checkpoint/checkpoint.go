@@ -1,8 +1,8 @@
 // Package checkpoint persists per-shard validation results so an
 // interrupted sharded run can resume instead of restarting from zero.
 //
-// A Store manages one directory of GSF1 fragments (trace.FragmentWriter
-// is the envelope; docs/FORMAT.md documents the layout). Each fragment
+// A Store manages one directory of GSF1 fragments (fragment.go is the
+// envelope; docs/FORMAT.md documents the layout). Each fragment
 // holds everything one completed shard contributed to a run: the
 // outcome-log records (when the run logs outcomes), the user IDs the
 // shard delivered (so a resumed run still detects cross-shard duplicate
@@ -19,23 +19,24 @@
 // published by atomicfile's commit (fsync, rename, directory fsync), so
 // a fragment that exists under its final name is always complete and
 // durable. A crash mid-shard leaves only a temp file, which Open sweeps
-// once it is stale. The GSF1 trailer makes truncation (disk corruption) a decode
-// error; callers treat a Load error as "no checkpoint" after Remove.
+// once it is stale. The GSF1 trailer makes truncation, and any byte
+// after it, a decode error; callers treat a Load error as "no
+// checkpoint" after Remove.
 package checkpoint
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"geosocial/internal/atomicfile"
 	"geosocial/internal/core"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // payloadVersion is the checkpoint payload schema version, stored in
@@ -129,28 +130,28 @@ func (s *Store) Load(shardSum string, rec func(data []byte) error) (*Meta, []int
 		return nil, nil, fmt.Errorf("checkpoint: open fragment: %w", err)
 	}
 	defer f.Close()
-	fr, err := trace.NewFragmentReader(f)
+	fr, err := newFragmentReader(f)
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, err
 	}
 	for k, v := range s.keys(shardSum) {
-		if got := fr.Keys()[k]; got != v {
+		if got := fr.keys[k]; got != v {
 			return nil, nil, fmt.Errorf("checkpoint: fragment key %s is %q, want %q", k, got, v)
 		}
 	}
 
 	records := 0
-	if name, err := fr.NextSection(); err != nil || name != sectionRecords {
+	if name, err := fr.nextSection(); err != nil || name != sectionRecords {
 		return nil, nil, fmt.Errorf("checkpoint: expected %s section, got %q: %v", sectionRecords, name, err)
 	}
 	if rec != nil {
 		for {
-			data, err := fr.NextChunk()
+			data, err := fr.nextChunk()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("checkpoint: %w", err)
+				return nil, nil, err
 			}
 			if err := rec(data); err != nil {
 				return nil, nil, err
@@ -159,30 +160,30 @@ func (s *Store) Load(shardSum string, rec func(data []byte) error) (*Meta, []int
 		}
 	}
 
-	if name, err := fr.NextSection(); err != nil || name != sectionUsers {
+	if name, err := fr.nextSection(); err != nil || name != sectionUsers {
 		return nil, nil, fmt.Errorf("checkpoint: expected %s section, got %q: %v", sectionUsers, name, err)
 	}
-	chunk, err := fr.NextChunk()
+	chunk, err := fr.nextChunk()
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, err
 	}
 	ids, err := decodeIDs(chunk)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	if name, err := fr.NextSection(); err != nil || name != sectionMeta {
+	if name, err := fr.nextSection(); err != nil || name != sectionMeta {
 		return nil, nil, fmt.Errorf("checkpoint: expected %s section, got %q: %v", sectionMeta, name, err)
 	}
-	chunk, err = fr.NextChunk()
+	chunk, err = fr.nextChunk()
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, err
 	}
 	var m Meta
 	if err := json.Unmarshal(chunk, &m); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: decode meta: %w", err)
 	}
-	if _, err := fr.NextSection(); err != io.EOF {
+	if _, err := fr.nextSection(); err != io.EOF {
 		return nil, nil, fmt.Errorf("checkpoint: trailing fragment content: %v", err)
 	}
 	if len(ids) != m.Users {
@@ -212,7 +213,7 @@ type Frag struct {
 	store    *Store
 	shardSum string
 	f        *atomicfile.File
-	fw       *trace.FragmentWriter
+	fw       *fragmentWriter
 	records  int
 	done     bool
 }
@@ -228,12 +229,12 @@ func (s *Store) Begin(shardSum string) (*Frag, error) {
 		f.Abort()
 		return nil, err
 	}
-	fw, err := trace.NewFragmentWriter(f, s.keys(shardSum))
+	fw, err := newFragmentWriter(f, s.keys(shardSum))
 	if err != nil {
-		return fail(fmt.Errorf("checkpoint: %w", err))
+		return fail(err)
 	}
-	if err := fw.Section(sectionRecords); err != nil {
-		return fail(fmt.Errorf("checkpoint: %w", err))
+	if err := fw.section(sectionRecords); err != nil {
+		return fail(err)
 	}
 	return &Frag{store: s, shardSum: shardSum, f: f, fw: fw}, nil
 }
@@ -243,8 +244,8 @@ func (fr *Frag) AddRecord(data []byte) error {
 	if fr.done {
 		return fmt.Errorf("checkpoint: fragment already sealed")
 	}
-	if err := fr.fw.Chunk(data); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.chunk(data); err != nil {
+		return err
 	}
 	fr.records++
 	return nil
@@ -269,20 +270,20 @@ func (fr *Frag) Commit(m *Meta, ids []int) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode meta: %w", err)
 	}
-	if err := fr.fw.Section(sectionUsers); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.section(sectionUsers); err != nil {
+		return err
 	}
-	if err := fr.fw.Chunk(encodeIDs(ids)); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.chunk(encodeIDs(ids)); err != nil {
+		return err
 	}
-	if err := fr.fw.Section(sectionMeta); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.section(sectionMeta); err != nil {
+		return err
 	}
-	if err := fr.fw.Chunk(metaJSON); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.chunk(metaJSON); err != nil {
+		return err
 	}
-	if err := fr.fw.Finish(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := fr.fw.finish(); err != nil {
+		return err
 	}
 	if err := fr.f.Commit(fr.store.fragPath(fr.shardSum)); err != nil {
 		return fmt.Errorf("checkpoint: publish fragment: %w", err)
@@ -301,49 +302,40 @@ func (fr *Frag) Abort() {
 // first ID as varint, then positive deltas). Sorting makes the
 // encoding canonical regardless of delivery order.
 func encodeIDs(ids []int) []byte {
-	sorted := make([]int, len(ids))
-	copy(sorted, ids)
-	sort.Ints(sorted)
-	buf := binary.AppendUvarint(nil, uint64(len(sorted)))
-	prev := 0
+	sorted := slices.Sorted(slices.Values(ids))
+	var e wire.Enc
+	e.Uvarint(uint64(len(sorted)))
 	for i, id := range sorted {
 		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
+			e.Varint(int64(id))
 		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prev))
+			e.Uvarint(uint64(id - sorted[i-1]))
 		}
-		prev = id
 	}
-	return buf
+	return e.Buf
 }
 
 // decodeIDs reverses encodeIDs.
 func decodeIDs(data []byte) ([]int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, fmt.Errorf("checkpoint: bad user-ID count")
-	}
-	pos := used
-	ids := make([]int, 0, min(n, 1<<16))
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
+	d := wire.Dec{Data: data, Prefix: "checkpoint: user IDs"}
+	n := d.Uvarint()
+	ids := make([]int, 0, min(n, uint64(len(data)))) // an ID takes a byte at least
+	var id int64
+	for i := uint64(0); i < n && d.Err == nil; i++ {
 		if i == 0 {
-			v, used := binary.Varint(data[pos:])
-			if used <= 0 {
-				return nil, fmt.Errorf("checkpoint: bad user ID at offset %d", pos)
-			}
-			prev, pos = v, pos+used
+			id = d.Varint()
+		} else if delta := d.Uvarint(); delta > 0 || d.Err != nil {
+			id += int64(delta)
 		} else {
-			d, used := binary.Uvarint(data[pos:])
-			if used <= 0 || d == 0 {
-				return nil, fmt.Errorf("checkpoint: bad user-ID delta at offset %d", pos)
-			}
-			prev, pos = prev+int64(d), pos+used
+			d.Fail("zero delta at offset %d", d.Pos)
 		}
-		ids = append(ids, int(prev))
+		ids = append(ids, int(id))
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after user IDs", len(data)-pos)
+	if d.Err != nil {
+		return nil, d.Err
+	}
+	if d.Pos != len(data) {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes after user IDs", len(data)-d.Pos)
 	}
 	return ids, nil
 }

@@ -1,4 +1,4 @@
-package trace
+package checkpoint
 
 import (
 	"bytes"
@@ -11,30 +11,30 @@ import (
 func writeTestFragment(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw, err := NewFragmentWriter(&buf, map[string]string{
+	fw, err := newFragmentWriter(&buf, map[string]string{
 		"shard":    "sha256:abc",
 		"manifest": "sha256:def",
 		"params":   "p1",
 	})
 	if err != nil {
-		t.Fatalf("NewFragmentWriter: %v", err)
+		t.Fatalf("newFragmentWriter: %v", err)
 	}
-	if err := fw.Section("records"); err != nil {
+	if err := fw.section("records"); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range [][]byte{[]byte("alpha"), {}, []byte("gamma")} {
-		if err := fw.Chunk(c); err != nil {
+		if err := fw.chunk(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fw.Section("meta"); err != nil {
+	if err := fw.section("meta"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Chunk([]byte("meta-bytes")); err != nil {
+	if err := fw.chunk([]byte("meta-bytes")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
+	if err := fw.finish(); err != nil {
+		t.Fatalf("finish: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -42,29 +42,29 @@ func writeTestFragment(t *testing.T) []byte {
 func TestFragmentRoundTrip(t *testing.T) {
 	data := writeTestFragment(t)
 
-	fr, err := NewFragmentReader(bytes.NewReader(data))
+	fr, err := newFragmentReader(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("NewFragmentReader: %v", err)
+		t.Fatalf("newFragmentReader: %v", err)
 	}
 	want := map[string]string{"shard": "sha256:abc", "manifest": "sha256:def", "params": "p1"}
 	for k, v := range want {
-		if fr.Keys()[k] != v {
-			t.Fatalf("key %q = %q, want %q", k, fr.Keys()[k], v)
+		if fr.keys[k] != v {
+			t.Fatalf("key %q = %q, want %q", k, fr.keys[k], v)
 		}
 	}
 
-	name, err := fr.NextSection()
+	name, err := fr.nextSection()
 	if err != nil || name != "records" {
 		t.Fatalf("section 1 = %q, %v", name, err)
 	}
 	var got [][]byte
 	for {
-		c, err := fr.NextChunk()
+		c, err := fr.nextChunk()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("NextChunk: %v", err)
+			t.Fatalf("nextChunk: %v", err)
 		}
 		got = append(got, append([]byte(nil), c...))
 	}
@@ -72,40 +72,40 @@ func TestFragmentRoundTrip(t *testing.T) {
 		t.Fatalf("records section chunks = %q", got)
 	}
 
-	name, err = fr.NextSection()
+	name, err = fr.nextSection()
 	if err != nil || name != "meta" {
 		t.Fatalf("section 2 = %q, %v", name, err)
 	}
-	c, err := fr.NextChunk()
+	c, err := fr.nextChunk()
 	if err != nil || string(c) != "meta-bytes" {
 		t.Fatalf("meta chunk = %q, %v", c, err)
 	}
 
-	if _, err := fr.NextSection(); err != io.EOF {
-		t.Fatalf("final NextSection = %v, want io.EOF", err)
+	if _, err := fr.nextSection(); err != io.EOF {
+		t.Fatalf("final nextSection = %v, want io.EOF", err)
 	}
 	// Idempotent at the end.
-	if _, err := fr.NextSection(); err != io.EOF {
-		t.Fatalf("repeated NextSection = %v, want io.EOF", err)
+	if _, err := fr.nextSection(); err != io.EOF {
+		t.Fatalf("repeated nextSection = %v, want io.EOF", err)
 	}
 }
 
-// NextSection must skip any unread chunks of the open section, and the
+// nextSection must skip any unread chunks of the open section, and the
 // trailer must still verify.
 func TestFragmentSkipSection(t *testing.T) {
 	data := writeTestFragment(t)
-	fr, err := NewFragmentReader(bytes.NewReader(data))
+	fr, err := newFragmentReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name, err := fr.NextSection(); err != nil || name != "records" {
+	if name, err := fr.nextSection(); err != nil || name != "records" {
 		t.Fatalf("section 1 = %q, %v", name, err)
 	}
-	if name, err := fr.NextSection(); err != nil || name != "meta" {
+	if name, err := fr.nextSection(); err != nil || name != "meta" {
 		t.Fatalf("section 2 after skip = %q, %v", name, err)
 	}
-	if _, err := fr.NextSection(); err != io.EOF {
-		t.Fatalf("final NextSection after skips = %v, want io.EOF", err)
+	if _, err := fr.nextSection(); err != io.EOF {
+		t.Fatalf("final nextSection after skips = %v, want io.EOF", err)
 	}
 }
 
@@ -120,7 +120,8 @@ func TestFragmentDeterministic(t *testing.T) {
 }
 
 // Every proper prefix of a valid fragment must fail decoding — the
-// trailer makes truncation detectable at any cut point.
+// trailer makes truncation detectable at any cut point — and so must
+// the fragment with a byte appended.
 func TestFragmentTruncation(t *testing.T) {
 	data := writeTestFragment(t)
 	for cut := 0; cut < len(data); cut++ {
@@ -132,16 +133,20 @@ func TestFragmentTruncation(t *testing.T) {
 	if err := consumeFragment(data); err != nil {
 		t.Fatalf("full fragment failed: %v", err)
 	}
+	// The input ends at the trailer.
+	if err := consumeFragment(append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("fragment with a byte after its trailer decoded cleanly")
+	}
 }
 
 // consumeFragment decodes an entire fragment, returning the first error.
 func consumeFragment(data []byte) error {
-	fr, err := NewFragmentReader(bytes.NewReader(data))
+	fr, err := newFragmentReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	for {
-		_, err := fr.NextSection()
+		_, err := fr.nextSection()
 		if err == io.EOF {
 			return nil
 		}
@@ -149,7 +154,7 @@ func consumeFragment(data []byte) error {
 			return err
 		}
 		for {
-			if _, err := fr.NextChunk(); err == io.EOF {
+			if _, err := fr.nextChunk(); err == io.EOF {
 				break
 			} else if err != nil {
 				return err
@@ -163,39 +168,39 @@ func TestFragmentRejectsBadMagicAndVersion(t *testing.T) {
 
 	bad := append([]byte(nil), data...)
 	bad[0] = 'X'
-	if _, err := NewFragmentReader(bytes.NewReader(bad)); err == nil {
+	if _, err := newFragmentReader(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 
 	bad = append([]byte(nil), data...)
 	bad[4] = 99 // version uvarint
-	if _, err := NewFragmentReader(bytes.NewReader(bad)); err == nil {
+	if _, err := newFragmentReader(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
 
 func TestFragmentWriterMisuse(t *testing.T) {
 	var buf bytes.Buffer
-	fw, err := NewFragmentWriter(&buf, nil)
+	fw, err := newFragmentWriter(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Chunk([]byte("x")); err == nil {
+	if err := fw.chunk([]byte("x")); err == nil {
 		t.Fatal("chunk outside a section accepted")
 	}
-	if err := fw.Section(""); err == nil {
+	if err := fw.section(""); err == nil {
 		t.Fatal("empty section name accepted")
 	}
-	if err := fw.Section("s"); err != nil {
+	if err := fw.section("s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Finish(); err != nil {
+	if err := fw.finish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Section("late"); err == nil {
+	if err := fw.section("late"); err == nil {
 		t.Fatal("section after Finish accepted")
 	}
-	if err := fw.Chunk([]byte("late")); err == nil {
+	if err := fw.chunk([]byte("late")); err == nil {
 		t.Fatal("chunk after Finish accepted")
 	}
 }

@@ -54,33 +54,6 @@ func Distance(a, b LatLon) float64 {
 	return 2 * EarthRadius * math.Asin(math.Sqrt(h))
 }
 
-// FastDistance returns the equirectangular-approximation distance in
-// meters between a and b. It is accurate to well under 1 % for separations
-// below tens of kilometers, which covers every threshold comparison in this
-// repository, and is several times faster than Distance.
-func FastDistance(a, b LatLon) float64 {
-	lat1 := deg2rad(a.Lat)
-	lat2 := deg2rad(b.Lat)
-	x := deg2rad(b.Lon-a.Lon) * math.Cos((lat1+lat2)/2)
-	y := lat2 - lat1
-	return EarthRadius * math.Sqrt(x*x+y*y)
-}
-
-// Bearing returns the initial great-circle bearing in degrees (0 = north,
-// 90 = east) from a toward b.
-func Bearing(a, b LatLon) float64 {
-	lat1 := deg2rad(a.Lat)
-	lat2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	br := rad2deg(math.Atan2(y, x))
-	if br < 0 {
-		br += 360
-	}
-	return br
-}
-
 // The sine and cosine of the two bearings the synthetic generator
 // displaces every fix by (north, then east), computed by the same
 // expressions Destination applies to any other bearing.
@@ -126,20 +99,6 @@ func Destination(p LatLon, bearingDeg, dist float64) LatLon {
 		out.Lon += 360
 	}
 	return out
-}
-
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b LatLon) LatLon {
-	lat1 := deg2rad(a.Lat)
-	lon1 := deg2rad(a.Lon)
-	lat2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return LatLon{Lat: rad2deg(lat3), Lon: rad2deg(lon3)}
 }
 
 // Interpolate returns the point a fraction f of the way from a to b along

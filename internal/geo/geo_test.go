@@ -65,22 +65,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestFastDistanceMatchesHaversineLocally(t *testing.T) {
-	// Within a 50 km region the equirectangular error must stay below 1 %.
-	err := quick.Check(func(dx, dy uint16) bool {
-		b := Destination(sb, float64(dx%360), float64(dy%50000))
-		exact := Distance(sb, b)
-		fast := FastDistance(sb, b)
-		if exact < 10 {
-			return math.Abs(exact-fast) < 1
-		}
-		return math.Abs(exact-fast)/exact < 0.01
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDestinationRoundTrip(t *testing.T) {
 	err := quick.Check(func(brRaw, distRaw uint32) bool {
 		bearing := float64(brRaw % 360)
@@ -91,27 +75,6 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBearingCardinal(t *testing.T) {
-	north := Destination(sb, 0, 10000)
-	if br := Bearing(sb, north); math.Abs(br) > 0.5 && math.Abs(br-360) > 0.5 {
-		t.Errorf("bearing to north point = %g, want ~0", br)
-	}
-	east := Destination(sb, 90, 10000)
-	if br := Bearing(sb, east); math.Abs(br-90) > 0.5 {
-		t.Errorf("bearing to east point = %g, want ~90", br)
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	b := Destination(sb, 45, 20000)
-	mid := Midpoint(sb, b)
-	d1 := Distance(sb, mid)
-	d2 := Distance(mid, b)
-	if math.Abs(d1-d2) > 1 {
-		t.Errorf("midpoint not equidistant: %g vs %g", d1, d2)
 	}
 }
 
@@ -217,12 +180,5 @@ func BenchmarkDistance(b *testing.B) {
 	p := Destination(sb, 37, 1234)
 	for i := 0; i < b.N; i++ {
 		_ = Distance(sb, p)
-	}
-}
-
-func BenchmarkFastDistance(b *testing.B) {
-	p := Destination(sb, 37, 1234)
-	for i := 0; i < b.N; i++ {
-		_ = FastDistance(sb, p)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"geosocial/internal/detect"
 	"geosocial/internal/levy"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // referenceAllocHint caps the reference decoder's preallocation from
@@ -28,17 +29,17 @@ import (
 const referenceAllocHint = 1 << 16
 
 // referenceFlights reads one Levy flight block (nil when empty).
-func referenceFlights(d *recDec) []levy.Flight {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+func referenceFlights(d *wire.Dec) []levy.Flight {
+	n := d.Uvarint()
+	if d.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]levy.Flight, 0, min(n, referenceAllocHint))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, levy.Flight{Dist: d.f64()})
+	for i := uint64(0); i < n && d.Err == nil; i++ {
+		out = append(out, levy.Flight{Dist: d.F64()})
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out[i].Time = d.f64()
+	for i := uint64(0); i < n && d.Err == nil; i++ {
+		out[i].Time = d.F64()
 	}
 	return out
 }
@@ -48,47 +49,47 @@ func referenceFlights(d *recDec) []levy.Flight {
 // decodeRecord must fail as it does, with the same error text, and
 // decode the same record.
 func referenceDecodeRecord(data []byte, kindCount int) (*Record, error) {
-	d := recDec{data: data}
+	d := wire.Dec{Data: data, Prefix: recordPrefix}
 	r := &Record{}
-	r.UserID = int(d.varint())
-	r.Profile.Friends = int(d.varint())
-	r.Profile.Badges = int(d.varint())
-	r.Profile.Mayors = int(d.varint())
-	r.Profile.CheckinsPerDay = d.f64()
-	r.Visits = int(d.uvarint())
-	r.Missing = int(d.uvarint())
+	r.UserID = int(d.Varint())
+	r.Profile.Friends = int(d.Varint())
+	r.Profile.Badges = int(d.Varint())
+	r.Profile.Mayors = int(d.Varint())
+	r.Profile.CheckinsPerDay = d.F64()
+	r.Visits = int(d.Uvarint())
+	r.Missing = int(d.Uvarint())
 
-	nCk := d.uvarint()
-	if d.err == nil && nCk > 0 {
+	nCk := d.Uvarint()
+	if d.Err == nil && nCk > 0 {
 		r.Times = make([]int64, 0, min(nCk, referenceAllocHint))
 		var t int64
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
 			if i == 0 {
-				t = d.varint()
+				t = d.Varint()
 			} else {
-				t += int64(d.uvarint())
+				t += int64(d.Uvarint())
 			}
 			r.Times = append(r.Times, t)
 		}
 		r.Kinds = make([]classify.Kind, 0, min(nCk, referenceAllocHint))
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Kinds = append(r.Kinds, classify.Kind(d.byte()))
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
+			r.Kinds = append(r.Kinds, classify.Kind(d.Byte()))
 		}
 		r.Truth = make([]trace.Label, 0, min(nCk, referenceAllocHint))
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Truth = append(r.Truth, d.label())
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
+			r.Truth = append(r.Truth, trace.Label(d.Label()))
 		}
-		if d.err == nil {
+		if d.Err == nil {
 			// The columns are fixed-width, so bound the allocation by the
 			// bytes actually present before trusting the untrusted count.
-			if need := nCk * detect.FeatureDim * 8; uint64(len(d.data)-d.pos) < need {
-				d.fail("outcome: record: %d checkins claim %d feature bytes, %d remain",
-					nCk, need, len(d.data)-d.pos)
+			if need := nCk * detect.FeatureDim * 8; uint64(len(d.Data)-d.Pos) < need {
+				d.Fail("%d checkins claim %d feature bytes, %d remain",
+					nCk, need, len(d.Data)-d.Pos)
 			} else {
 				r.Features = make([][detect.FeatureDim]float64, nCk)
-				for j := 0; j < detect.FeatureDim && d.err == nil; j++ {
-					for i := uint64(0); i < nCk && d.err == nil; i++ {
-						r.Features[i][j] = d.f64()
+				for j := 0; j < detect.FeatureDim && d.Err == nil; j++ {
+					for i := uint64(0); i < nCk && d.Err == nil; i++ {
+						r.Features[i][j] = d.F64()
 					}
 				}
 			}
@@ -97,18 +98,18 @@ func referenceDecodeRecord(data []byte, kindCount int) (*Record, error) {
 	r.GPSFlights = referenceFlights(&d)
 	r.HonestFlights = referenceFlights(&d)
 	r.AllFlights = referenceFlights(&d)
-	nP := d.uvarint()
-	if d.err == nil && nP > 0 {
+	nP := d.Uvarint()
+	if d.Err == nil && nP > 0 {
 		r.Pauses = make([]float64, 0, min(nP, referenceAllocHint))
-		for i := uint64(0); i < nP && d.err == nil; i++ {
-			r.Pauses = append(r.Pauses, d.f64())
+		for i := uint64(0); i < nP && d.Err == nil; i++ {
+			r.Pauses = append(r.Pauses, d.F64())
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, d.Err
 	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.data)-d.pos)
+	if d.Pos != len(d.Data) {
+		return nil, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.Data)-d.Pos)
 	}
 	if err := r.validate(kindCount); err != nil {
 		return nil, err
@@ -175,23 +176,22 @@ func referenceAppend(src, dst string, updates []*Record, observe func(old *Recor
 
 // logHeader encodes a GSO1 header.
 func logHeader(name string, dim, kinds int) []byte {
-	var e recEnc
-	e.buf = append(e.buf, logMagic[:]...)
-	e.uvarint(logVersion)
-	e.str(name)
-	e.uvarint(uint64(dim))
-	e.uvarint(uint64(kinds))
-	return e.buf
+	var e wire.Enc
+	e.Header(&gso1)
+	e.Str(name)
+	e.Uvarint(uint64(dim))
+	e.Uvarint(uint64(kinds))
+	return e.Buf
 }
 
 // payloadOf encodes one record's payload.
 func payloadOf(tb testing.TB, r *Record) []byte {
 	tb.Helper()
-	var e recEnc
+	var e wire.Enc
 	if err := encodeRecord(&e, r); err != nil {
 		tb.Fatal(err)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // buildLog frames the non-empty payloads between header and trailer
@@ -219,11 +219,11 @@ func FuzzAppendLog(f *testing.F) {
 	trailer := func(n uint64) []byte { return binary.AppendUvarint([]byte{0}, n) }
 
 	// The record decoder's seeds, one to a log.
-	var e recEnc
+	var e wire.Enc
 	if err := encodeRecord(&e, &Record{UserID: -3}); err != nil {
 		f.Fatal(err)
 	}
-	for _, p := range [][]byte{seed, e.buf, {}, {0x00}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}} {
+	for _, p := range [][]byte{seed, e.Buf, {}, {0x00}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}} {
 		f.Add(hdr, []byte(nil), p, []byte(nil), trailer(1), int64(7))
 	}
 	// A canonical three-user log, superseding one user and adding one.
@@ -254,7 +254,7 @@ func FuzzAppendLog(f *testing.F) {
 	unknown.Kinds[1] = classify.Kind(classify.NumKinds)
 	f.Add(logHeader("fuzz", detect.FeatureDim, 200), p3, payloadOf(f, unknown), p9, trailer(3), int64(9))
 	f.Add(logHeader("fuzz", detect.FeatureDim+1, classify.NumKinds), p3, seed, p9, trailer(3), int64(7))
-	f.Add(append(append([]byte(nil), logMagic[:]...), 1, 0xff, 0xff, 0x3f), []byte(nil), []byte(nil), []byte(nil), []byte(nil), int64(7))
+	f.Add(append(append([]byte(nil), gso1.Magic[:]...), 1, 0xff, 0xff, 0x3f), []byte(nil), []byte(nil), []byte(nil), []byte(nil), int64(7))
 
 	// Inputs run one at a time per process, so one directory serves
 	// them all; every file in it is rewritten by each input.

@@ -1,7 +1,7 @@
 package outcome
 
-// GSO1 wire encoding: the varint/float primitives plus the record and
-// header codecs. See the package comment for the byte-level layout.
+// GSO1 record codec, on the primitives and framing of internal/wire.
+// See the package comment for the byte-level layout.
 
 import (
 	"encoding/binary"
@@ -12,118 +12,85 @@ import (
 	"geosocial/internal/detect"
 	"geosocial/internal/levy"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
-// logMagic identifies the outcome-log format ("GeoSocial Outcomes").
-var logMagic = [4]byte{'G', 'S', 'O', '1'}
-
-// logVersion is the current header version.
-const logVersion = 1
+// gso1 is the outcome-log container ("GeoSocial Outcomes"), framed as
+// internal/wire frames every container. A record is capped so a
+// corrupt length prefix fails before any read.
+var gso1 = wire.Format{
+	Magic:   [4]byte{'G', 'S', 'O', '1'},
+	Version: 1,
+	Limit:   1 << 28,
+	Prefix:  "outcome",
+	Noun:    "an outcome log",
+	Payload: "record",
+}
 
 const (
-	// maxRecordBytes caps a single record so a corrupt length prefix
-	// cannot trigger a multi-gigabyte allocation.
-	maxRecordBytes = 1 << 28
-	// maxStringBytes caps an encoded string for the same reason.
-	maxStringBytes = 1 << 20
 	// maxKindCount bounds the header kind count: kinds are stored as
 	// single bytes, so anything larger is structurally impossible.
 	maxKindCount = 256
-	// readGrowBytes is the first step by which a record or string read
-	// grows its buffer past the bytes that have arrived.
-	readGrowBytes = 1 << 16
 	// minCheckinBytes is the least a valid checkin occupies in a record:
 	// a time, a kind and a label byte, and its feature vector.
 	minCheckinBytes = 3 + 8*detect.FeatureDim
 )
 
-// labelTable enumerates the known ground-truth labels; the index is the
-// wire encoding. Unknown labels are written as len(labelTable) + string.
-var labelTable = [...]trace.Label{
-	trace.LabelNone, trace.LabelHonest, trace.LabelSuperfluous,
-	trace.LabelRemote, trace.LabelDriveby, trace.LabelOther,
-}
+// recordPrefix begins every record decode error.
+const recordPrefix = "outcome: record"
 
-// --- encoding helpers ---
-
-// recEnc accumulates one record's payload in memory (records are
-// length-prefixed, so the size must be known before the first byte
-// reaches the stream).
-type recEnc struct{ buf []byte }
-
-func (e *recEnc) reset()           { e.buf = e.buf[:0] }
-func (e *recEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *recEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *recEnc) f64(v float64)    { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *recEnc) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *recEnc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *recEnc) label(l trace.Label) {
-	for i, known := range labelTable {
-		if l == known {
-			e.uvarint(uint64(i))
-			return
-		}
-	}
-	e.uvarint(uint64(len(labelTable)))
-	e.str(string(l))
-}
-
-// flights writes one Levy flight block as two float64 columns.
-func (e *recEnc) flights(fl []levy.Flight) {
-	e.uvarint(uint64(len(fl)))
+// putFlights writes one Levy flight block as two float64 columns.
+func putFlights(e *wire.Enc, fl []levy.Flight) {
+	e.Uvarint(uint64(len(fl)))
 	for _, f := range fl {
-		e.f64(f.Dist)
+		e.F64(f.Dist)
 	}
 	for _, f := range fl {
-		e.f64(f.Time)
+		e.F64(f.Time)
 	}
 }
 
 // encodeRecord appends the record's payload to e. The record must have
 // passed validate.
-func encodeRecord(e *recEnc, r *Record) error {
-	e.varint(int64(r.UserID))
-	e.varint(int64(r.Profile.Friends))
-	e.varint(int64(r.Profile.Badges))
-	e.varint(int64(r.Profile.Mayors))
-	e.f64(r.Profile.CheckinsPerDay)
-	e.uvarint(uint64(r.Visits))
-	e.uvarint(uint64(r.Missing))
+func encodeRecord(e *wire.Enc, r *Record) error {
+	e.Varint(int64(r.UserID))
+	e.Varint(int64(r.Profile.Friends))
+	e.Varint(int64(r.Profile.Badges))
+	e.Varint(int64(r.Profile.Mayors))
+	e.F64(r.Profile.CheckinsPerDay)
+	e.Uvarint(uint64(r.Visits))
+	e.Uvarint(uint64(r.Missing))
 
-	e.uvarint(uint64(len(r.Times)))
+	e.Uvarint(uint64(len(r.Times)))
 	var prev int64
 	for i, t := range r.Times {
 		if i == 0 {
-			e.varint(t)
+			e.Varint(t)
 		} else {
 			if t < prev {
 				return fmt.Errorf("outcome: user %d: checkin %d out of order", r.UserID, i)
 			}
-			e.uvarint(uint64(t - prev))
+			e.Uvarint(uint64(t - prev))
 		}
 		prev = t
 	}
 	for _, k := range r.Kinds {
-		e.byte(byte(k))
+		e.Byte(byte(k))
 	}
 	for _, l := range r.Truth {
-		e.label(l)
+		e.Label(string(l))
 	}
 	for j := 0; j < detect.FeatureDim; j++ {
 		for i := range r.Features {
-			e.f64(r.Features[i][j])
+			e.F64(r.Features[i][j])
 		}
 	}
-	e.flights(r.GPSFlights)
-	e.flights(r.HonestFlights)
-	e.flights(r.AllFlights)
-	e.uvarint(uint64(len(r.Pauses)))
+	putFlights(e, r.GPSFlights)
+	putFlights(e, r.HonestFlights)
+	putFlights(e, r.AllFlights)
+	e.Uvarint(uint64(len(r.Pauses)))
 	for _, p := range r.Pauses {
-		e.f64(p)
+		e.F64(p)
 	}
 	return nil
 }
@@ -135,143 +102,20 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	if err := r.validate(classify.NumKinds); err != nil {
 		return nil, err
 	}
-	var e recEnc
+	var e wire.Enc
 	if err := encodeRecord(&e, r); err != nil {
 		return nil, err
 	}
-	if len(e.buf) > maxRecordBytes {
-		return nil, fmt.Errorf("outcome: record for user %d exceeds %d bytes", r.UserID, maxRecordBytes)
+	if uint64(len(e.Buf)) > gso1.Limit {
+		return nil, fmt.Errorf("outcome: record for user %d exceeds %d bytes", r.UserID, gso1.Limit)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 // DecodeRecord decodes and validates one payload produced by
 // EncodeRecord (or stored in a current-version log).
 func DecodeRecord(data []byte) (*Record, error) {
 	return decodeRecord(data, classify.NumKinds)
-}
-
-// --- decoding helpers ---
-
-// recDec decodes one record payload with a sticky error, so call sites
-// stay linear and check failure once. loose records that the payload
-// is not in the canonical form encodeRecord writes: a varint longer
-// than its value needs, or a known label escaped as a string.
-type recDec struct {
-	data  []byte
-	pos   int
-	err   error
-	loose bool
-}
-
-func (d *recDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *recDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("outcome: record: bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.loose = d.loose || n > 1 && d.data[d.pos+n-1] == 0 // minimal encodings end in a non-zero byte
-	d.pos += n
-	return v
-}
-
-func (d *recDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("outcome: record: bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.loose = d.loose || n > 1 && d.data[d.pos+n-1] == 0
-	d.pos += n
-	return v
-}
-
-func (d *recDec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("outcome: record: truncated float at offset %d", d.pos)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *recDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.fail("outcome: record: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *recDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("outcome: record: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("outcome: record: truncated string at offset %d", d.pos)
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-func (d *recDec) label() trace.Label {
-	idx := d.uvarint()
-	if d.err != nil {
-		return trace.LabelNone
-	}
-	if idx < uint64(len(labelTable)) {
-		return labelTable[idx]
-	}
-	if idx == uint64(len(labelTable)) {
-		l := trace.Label(d.str())
-		for _, known := range labelTable {
-			d.loose = d.loose || l == known
-		}
-		return l
-	}
-	d.fail("outcome: record: bad label code %d", idx)
-	return trace.LabelNone
-}
-
-// skipF64s steps over n float64s, failing where n calls of f64 would.
-func (d *recDec) skipF64s(n uint64) {
-	if d.err != nil {
-		return
-	}
-	if fit := uint64(len(d.data)-d.pos) / 8; n > fit {
-		d.pos += int(fit) * 8
-		d.fail("outcome: record: truncated float at offset %d", d.pos)
-		return
-	}
-	d.pos += int(n) * 8
 }
 
 // floatCols locates a walked record's float columns in its payload.
@@ -336,69 +180,69 @@ func decodeRecord(data []byte, kindCount int) (*Record, error) {
 // is exactly what encodeRecord writes for the record it holds, so its
 // bytes can be carried as-is.
 func walkRecord(data []byte, kindCount int, r *Record, at *floatCols) (canonical bool, err error) {
-	d := recDec{data: data}
-	r.UserID = int(d.varint())
-	r.Profile.Friends = int(d.varint())
-	r.Profile.Badges = int(d.varint())
-	r.Profile.Mayors = int(d.varint())
-	r.Profile.CheckinsPerDay = d.f64()
-	r.Visits = int(d.uvarint())
-	r.Missing = int(d.uvarint())
+	d := wire.Dec{Data: data, Prefix: recordPrefix}
+	r.UserID = int(d.Varint())
+	r.Profile.Friends = int(d.Varint())
+	r.Profile.Badges = int(d.Varint())
+	r.Profile.Mayors = int(d.Varint())
+	r.Profile.CheckinsPerDay = d.F64()
+	r.Visits = int(d.Uvarint())
+	r.Missing = int(d.Uvarint())
 	r.Times, r.Kinds, r.Truth = r.Times[:0], r.Kinds[:0], r.Truth[:0]
 	r.Features, r.GPSFlights, r.HonestFlights, r.AllFlights, r.Pauses = nil, nil, nil, nil, nil
 
-	nCk := d.uvarint()
-	if d.err == nil && nCk > 0 {
+	nCk := d.Uvarint()
+	if d.Err == nil && nCk > 0 {
 		// A valid checkin takes at least minCheckinBytes, so the bytes
 		// left bound the preallocation, not the untrusted count.
-		if hint := int(min(nCk, uint64(len(data)-d.pos)/minCheckinBytes)); cap(r.Times) < hint {
+		if hint := int(min(nCk, uint64(len(data)-d.Pos)/minCheckinBytes)); cap(r.Times) < hint {
 			r.Times = make([]int64, 0, hint)
 			r.Kinds = make([]classify.Kind, 0, hint)
 			r.Truth = make([]trace.Label, 0, hint)
 		}
 		var t int64
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
 			if i == 0 {
-				t = d.varint()
+				t = d.Varint()
 			} else {
-				t += int64(d.uvarint())
+				t += int64(d.Uvarint())
 			}
 			r.Times = append(r.Times, t)
 		}
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Kinds = append(r.Kinds, classify.Kind(d.byte()))
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
+			r.Kinds = append(r.Kinds, classify.Kind(d.Byte()))
 		}
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Truth = append(r.Truth, d.label())
+		for i := uint64(0); i < nCk && d.Err == nil; i++ {
+			r.Truth = append(r.Truth, trace.Label(d.Label()))
 		}
-		if d.err == nil {
+		if d.Err == nil {
 			// The columns are fixed-width: check the bytes are all there.
-			if need := nCk * detect.FeatureDim * 8; uint64(len(d.data)-d.pos) < need {
-				d.fail("outcome: record: %d checkins claim %d feature bytes, %d remain",
-					nCk, need, len(d.data)-d.pos)
+			if need := nCk * detect.FeatureDim * 8; uint64(len(d.Data)-d.Pos) < need {
+				d.Fail("%d checkins claim %d feature bytes, %d remain",
+					nCk, need, len(d.Data)-d.Pos)
 			} else {
-				at.features = d.pos
-				d.pos += int(need)
+				at.features = d.Pos
+				d.Pos += int(need)
 			}
 		}
 	}
 	for b := range at.flights {
-		n := d.uvarint()
-		at.flights[b], at.nFlights[b] = d.pos, int(n)
-		d.skipF64s(n) // dists
-		d.skipF64s(n) // times
+		n := d.Uvarint()
+		at.flights[b], at.nFlights[b] = d.Pos, int(n)
+		d.SkipF64s(n) // dists
+		d.SkipF64s(n) // times
 	}
-	nP := d.uvarint()
-	at.pauses, at.nPauses = d.pos, int(nP)
-	d.skipF64s(nP)
-	if d.err != nil {
-		return false, d.err
+	nP := d.Uvarint()
+	at.pauses, at.nPauses = d.Pos, int(nP)
+	d.SkipF64s(nP)
+	if d.Err != nil {
+		return false, d.Err
 	}
-	if d.pos != len(d.data) {
-		return false, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.data)-d.pos)
+	if d.Pos != len(d.Data) {
+		return false, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.Data)-d.Pos)
 	}
 	if err := r.check(kindCount); err != nil {
 		return false, err
 	}
-	return !d.loose, nil
+	return !d.Loose, nil
 }

@@ -17,6 +17,7 @@ import (
 	"geosocial/internal/detect"
 	"geosocial/internal/levy"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // seedRecord builds a small hand-rolled record exercising every column.
@@ -46,16 +47,16 @@ func seedRecord() *Record {
 }
 
 func FuzzRecordDecode(f *testing.F) {
-	var e recEnc
+	var e wire.Enc
 	if err := encodeRecord(&e, seedRecord()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), e.buf...))
-	e.reset()
+	f.Add(append([]byte(nil), e.Buf...))
+	e.Buf = e.Buf[:0]
 	if err := encodeRecord(&e, &Record{UserID: -3}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), e.buf...))
+	f.Add(append([]byte(nil), e.Buf...))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -74,7 +75,7 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		// A record the decoder accepted must re-encode and decode to an
 		// identical record (NaN payloads break DeepEqual, so skip those).
-		var enc recEnc
+		var enc wire.Enc
 		if err := encodeRecord(&enc, rec); err != nil {
 			t.Fatalf("accepted record failed to re-encode: %v", err)
 		}
@@ -84,10 +85,10 @@ func FuzzRecordDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded payload fails the walk: %v", err)
 		}
-		if same := bytes.Equal(enc.buf, data); canonical != same {
+		if same := bytes.Equal(enc.Buf, data); canonical != same {
 			t.Fatalf("walk says canonical=%v, re-encoding reproduces the payload: %v", canonical, same)
 		}
-		again, err := decodeRecord(enc.buf, classify.NumKinds)
+		again, err := decodeRecord(enc.Buf, classify.NumKinds)
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}

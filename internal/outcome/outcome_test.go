@@ -6,10 +6,12 @@ package outcome_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,6 +227,30 @@ func scanBytes(data []byte) error {
 		} else if err != nil {
 			return err
 		}
+	}
+}
+
+// TestForgedRecordLengthAllocBounded: a record that declares a length
+// far past the bytes behind it must fail the read, and the read must
+// allocate in proportion to the bytes that arrived, not to the declared
+// length.
+func TestForgedRecordLengthAllocBounded(t *testing.T) {
+	data, err := os.ReadFile(writeLog(t, nil, "forged", "forged.gso"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the end-of-log sentinel and the zero record count, then
+	// declare a 256 MiB record with nothing behind it.
+	data = binary.AppendUvarint(data[:len(data)-2], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = scanBytes(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged record length read cleanly")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("reading a record with no payload allocated %d bytes, want < 4 MiB", got)
 	}
 }
 

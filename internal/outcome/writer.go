@@ -3,7 +3,6 @@ package outcome
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"geosocial/internal/atomicfile"
 	"geosocial/internal/classify"
 	"geosocial/internal/detect"
+	"geosocial/internal/wire"
 )
 
 // recIdx locates one spooled record: the user ID it belongs to and the
@@ -39,7 +39,7 @@ type Writer struct {
 	name    string
 	spool   *atomicfile.File // never committed: Close and Discard abort it
 	bw      *bufio.Writer
-	enc     recEnc
+	enc     wire.Enc
 	index   []recIdx
 	off     int64
 	maxSize int32
@@ -76,11 +76,11 @@ func (w *Writer) Write(rec *Record) error {
 	if err := rec.validate(classify.NumKinds); err != nil {
 		return err
 	}
-	w.enc.reset()
+	w.enc.Buf = w.enc.Buf[:0]
 	if err := encodeRecord(&w.enc, rec); err != nil {
 		return err
 	}
-	return w.writeRaw(rec.UserID, w.enc.buf)
+	return w.writeRaw(rec.UserID, w.enc.Buf)
 }
 
 // writeRaw spools one record of user id already in its canonical
@@ -89,8 +89,8 @@ func (w *Writer) writeRaw(id int, payload []byte) error {
 	if w.spool == nil {
 		return fmt.Errorf("outcome: write: log writer closed")
 	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", id, maxRecordBytes)
+	if uint64(len(payload)) > gso1.Limit {
+		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", id, gso1.Limit)
 	}
 	if _, err := w.bw.Write(payload); err != nil {
 		return fmt.Errorf("outcome: spool record: %w", err)
@@ -176,38 +176,29 @@ func (w *Writer) finish() error {
 
 // writeLog emits header, records in index order, and trailer.
 func (w *Writer) writeLog(bw *bufio.Writer) error {
-	if _, err := bw.Write(logMagic[:]); err != nil {
-		return fmt.Errorf("outcome: write header: %w", err)
-	}
-	var hdr recEnc
-	hdr.uvarint(logVersion)
-	hdr.str(w.name)
-	hdr.uvarint(uint64(detect.FeatureDim))
-	hdr.uvarint(uint64(classify.NumKinds))
-	if _, err := bw.Write(hdr.buf); err != nil {
+	var hdr wire.Enc
+	hdr.Header(&gso1)
+	hdr.Str(w.name)
+	hdr.Uvarint(uint64(detect.FeatureDim))
+	hdr.Uvarint(uint64(classify.NumKinds))
+	if _, err := bw.Write(hdr.Buf); err != nil {
 		return fmt.Errorf("outcome: write header: %w", err)
 	}
 
 	buf := make([]byte, w.maxSize)
-	var lenBuf [binary.MaxVarintLen64]byte
 	for _, ix := range w.index {
 		rec := buf[:ix.size]
 		if _, err := w.spool.ReadAt(rec, ix.off); err != nil {
 			return fmt.Errorf("outcome: reread spool: %w", err)
 		}
-		n := binary.PutUvarint(lenBuf[:], uint64(ix.size))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return fmt.Errorf("outcome: write record: %w", err)
-		}
-		if _, err := bw.Write(rec); err != nil {
+		if _, err := wire.WritePayload(bw, rec); err != nil {
 			return fmt.Errorf("outcome: write record: %w", err)
 		}
 	}
 
-	var tail recEnc
-	tail.uvarint(0) // sentinel: no more records
-	tail.uvarint(uint64(len(w.index)))
-	if _, err := bw.Write(tail.buf); err != nil {
+	var tail wire.Enc
+	tail.Trailer(uint64(len(w.index)))
+	if _, err := bw.Write(tail.Buf); err != nil {
 		return fmt.Errorf("outcome: write trailer: %w", err)
 	}
 	return nil

@@ -19,7 +19,6 @@ package trace
 // concatenated data would contain.
 
 import (
-	"bufio"
 	"compress/gzip"
 	"crypto/sha256"
 	"errors"
@@ -33,6 +32,7 @@ import (
 	"geosocial/internal/atomicfile"
 	"geosocial/internal/par"
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // FoldUser merges a user's base frame with the delta frames appended
@@ -343,11 +343,11 @@ func (aw *AppendWriter) WriteUser(u *User) error {
 // (see OpenShard) passes without a parse.
 func (aw *AppendWriter) AppendStream(r io.Reader) error {
 	h := aw.ss.hdr.Load()
-	br := bufio.NewReaderSize(r, h.bufSize())
-	sr, checked := h.reader(br)
+	rd := wire.NewReader(&gsb1, r, h.bufSize())
+	sr, checked := h.reader(rd)
 	if !checked {
 		var err error
-		if sr, err = NewStreamReader(br); err != nil {
+		if sr, err = newStreamReader(rd); err != nil {
 			return err
 		}
 		if _, err := aw.ss.checkHeader(sr, "trace: append: stream is for dataset %q, set is %q",

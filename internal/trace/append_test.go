@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -495,9 +496,13 @@ func TestAppendStreamRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestDeltaShardTruncation: every strict byte prefix of a delta shard
-// must fail to decode — the GSB1 sentinel/trailer discipline makes
-// truncation detectable at any byte.
+// TestDeltaShardTruncation: a delta shard cut short at any byte must
+// fail to decode — the GSB1 sentinel/trailer discipline makes
+// truncation detectable everywhere. The cuts are those that reach
+// different code: every header byte, every byte of each frame's length
+// prefix, each frame's first and last payload byte, and every sentinel
+// and trailer byte. A cut anywhere else inside a payload takes the
+// same short-read branch as its first and last bytes.
 func TestDeltaShardTruncation(t *testing.T) {
 	full := genShardDS(t, 0.02, 59)
 	base, deltas := splitDataset(full)
@@ -537,7 +542,52 @@ func TestDeltaShardTruncation(t *testing.T) {
 	if err := decode(raw); err != nil {
 		t.Fatalf("full delta shard failed to decode: %v", err)
 	}
-	for n := 0; n < len(raw); n++ {
+
+	// The header is what an empty stream with the same name and table
+	// holds before its sentinel and zero count.
+	sr, err := trace.NewStreamReaderBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty bytes.Buffer
+	sw, err := trace.NewStreamWriter(&empty, sr.Name(), sr.POIs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := empty.Bytes()[:empty.Len()-2]
+	if !bytes.HasPrefix(raw, hdr) {
+		t.Fatal("delta shard does not start with its header")
+	}
+	var cuts []int
+	for n := 0; n < len(hdr); n++ {
+		cuts = append(cuts, n)
+	}
+	pos, frames := len(hdr), 0
+	for {
+		size, k := binary.Uvarint(raw[pos:])
+		if k <= 0 {
+			t.Fatalf("bad frame length prefix at offset %d", pos)
+		}
+		if size == 0 { // the sentinel, then the trailer
+			for n := pos; n < len(raw); n++ {
+				cuts = append(cuts, n)
+			}
+			break
+		}
+		for n := pos; n < pos+k; n++ {
+			cuts = append(cuts, n)
+		}
+		cuts = append(cuts, pos+k, pos+k+int(size)-1)
+		pos += k + int(size)
+		frames++
+	}
+	if frames != delta.Users {
+		t.Fatalf("walked %d frames, manifest says %d", frames, delta.Users)
+	}
+	for _, n := range cuts {
 		if decode(raw[:n]) == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded cleanly", n, len(raw))
 		}

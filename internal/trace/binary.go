@@ -44,6 +44,11 @@ package trace
 // (trace invariants, duplicate user IDs, checkin POI references), so a
 // successfully decoded stream satisfies the same invariants Dataset.
 // Validate enforces on the JSON path.
+//
+// The framing — header check, length prefixes, sentinel, trailer and
+// the end of input — is internal/wire's, shared with GSO1 and GSF1.
+// The mapped read path (nextFrameBytes) and the GPS kernel (decodeGPS)
+// stay here: both read straight from memory.
 
 import (
 	"bufio"
@@ -52,32 +57,27 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 
 	"geosocial/internal/geo"
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
-// binaryMagic identifies the binary dataset format ("GeoSocial Binary").
-var binaryMagic = [4]byte{'G', 'S', 'B', '1'}
-
-// binaryVersion is the current header version.
-const binaryVersion = 1
+// gsb1 is the binary dataset container ("GeoSocial Binary"), framed as
+// internal/wire frames every container.
+var gsb1 = wire.Format{
+	Magic:   [4]byte{'G', 'S', 'B', '1'},
+	Version: 1,
+	Limit:   1 << 30,
+	Prefix:  "trace",
+	Noun:    "a binary dataset",
+	Payload: "binary frame",
+}
 
 const (
 	// coordScale converts degrees to fixed-point E7 ticks.
 	coordScale = 1e7
-	// maxFrameBytes caps a single user frame's declared length.
-	maxFrameBytes = 1 << 30
-	// frameGrowBytes is the first step by which a buffered frame read
-	// grows its buffer past the bytes that have arrived (steps double
-	// from there), so a forged length prefix costs memory in proportion
-	// to the bytes actually behind it, not to the length it declares.
-	frameGrowBytes = 1 << 20
-	// maxStringBytes caps an encoded string so a corrupt length prefix
-	// cannot force a large allocation.
-	maxStringBytes = 1 << 20
 	// minFixBytes and minCheckinBytes are the smallest encodings of a
 	// GPS fix and of a checkin (one byte per field). A count inside a
 	// frame sizes its slice to at most the records the rest of the frame
@@ -96,150 +96,20 @@ const (
 	maxFixBytes = 3*binary.MaxVarintLen64 + 1
 )
 
-// labelTable enumerates the known ground-truth labels; the index is the
-// wire encoding. Unknown labels are written as len(labelTable) + string.
-var labelTable = [...]Label{
-	LabelNone, LabelHonest, LabelSuperfluous, LabelRemote, LabelDriveby, LabelOther,
-}
-
 func toE7(deg float64) int64 { return int64(math.Round(deg * coordScale)) }
 func fromE7(v int64) float64 { return float64(v) / coordScale }
 
-// --- encoding helpers ---
-
-// frameEnc accumulates one frame's payload in memory (frames are
-// length-prefixed, so the size must be known before the first byte is
-// written to the stream).
-type frameEnc struct{ buf []byte }
-
-func (e *frameEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *frameEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *frameEnc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *frameEnc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *frameEnc) byte(b byte) { e.buf = append(e.buf, b) }
-
-func (e *frameEnc) latlon(p geo.LatLon) {
-	e.varint(toE7(p.Lat))
-	e.varint(toE7(p.Lon))
+// putLatLon appends a coordinate as a zigzag E7 pair.
+func putLatLon(e *wire.Enc, p geo.LatLon) {
+	e.Varint(toE7(p.Lat))
+	e.Varint(toE7(p.Lon))
 }
 
-func (e *frameEnc) label(l Label) {
-	for i, known := range labelTable {
-		if l == known {
-			e.uvarint(uint64(i))
-			return
-		}
-	}
-	e.uvarint(uint64(len(labelTable)))
-	e.str(string(l))
-}
-
-// --- decoding helpers ---
-
-// frameDec decodes one frame payload with a sticky error, so call sites
-// stay linear and check failure once.
-type frameDec struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *frameDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *frameDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("trace: binary frame: bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *frameDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("trace: binary frame: bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *frameDec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("trace: binary frame: truncated float at offset %d", d.pos)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *frameDec) str() string { return d.strIntern(nil) }
-
-// strIntern decodes a string, resolving its bytes through an intern
-// table first: a hit returns the canonical string without allocating
-// (the compiler elides the string conversion in a map lookup), a miss
-// (always, for a nil table) copies.
-func (d *frameDec) strIntern(names map[string]string) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("trace: binary frame: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("trace: binary frame: truncated string at offset %d", d.pos)
-		return ""
-	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	if s, ok := names[string(b)]; ok {
-		return s
-	}
-	return string(b)
-}
-
-func (d *frameDec) latlon() geo.LatLon {
-	lat := d.varint()
-	lon := d.varint()
+// latLon reads a coordinate putLatLon wrote.
+func latLon(d *wire.Dec) geo.LatLon {
+	lat := d.Varint()
+	lon := d.Varint()
 	return geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)}
-}
-
-func (d *frameDec) label() Label {
-	idx := d.uvarint()
-	if d.err != nil {
-		return LabelNone
-	}
-	if idx < uint64(len(labelTable)) {
-		return labelTable[idx]
-	}
-	if idx == uint64(len(labelTable)) {
-		return Label(d.str())
-	}
-	d.fail("trace: binary frame: bad label code %d", idx)
-	return LabelNone
 }
 
 // --- stream writer ---
@@ -255,7 +125,7 @@ func (d *frameDec) label() Label {
 // own buffering; callers own gzip wrapping and file lifecycle.
 type StreamWriter struct {
 	w       *bufio.Writer
-	scratch frameEnc
+	scratch wire.Enc
 	seen    map[int]struct{}
 	numPOIs int
 	users   uint64
@@ -290,24 +160,24 @@ func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, e
 // popularity. It is the one definition of the table's byte layout: the
 // stream header, POIChecksum and the shard set's header check all use it.
 func encodePOITable(buf []byte, pois []poi.POI) []byte {
-	e := frameEnc{buf: buf}
-	e.uvarint(uint64(len(pois)))
+	e := wire.Enc{Buf: buf}
+	e.Uvarint(uint64(len(pois)))
 	for _, p := range pois {
-		e.str(p.Name)
-		e.varint(int64(p.Category))
-		e.latlon(p.Loc)
-		e.f64(p.Popularity)
+		e.Str(p.Name)
+		e.Varint(int64(p.Category))
+		putLatLon(&e, p.Loc)
+		e.F64(p.Popularity)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // appendHeader appends a whole stream header to buf: magic, version,
 // dataset name and the encoded POI table.
 func appendHeader(buf []byte, name string, table []byte) []byte {
-	e := frameEnc{buf: append(buf, binaryMagic[:]...)}
-	e.uvarint(binaryVersion)
-	e.str(name)
-	return append(e.buf, table...)
+	e := wire.Enc{Buf: buf}
+	e.Header(&gsb1)
+	e.Str(name)
+	return append(e.Buf, table...)
 }
 
 // Users returns the number of user frames written so far.
@@ -334,62 +204,58 @@ func (sw *StreamWriter) WriteUser(u *User) error {
 	}
 
 	e := &sw.scratch
-	e.buf = e.buf[:0]
-	e.varint(int64(u.ID))
-	e.f64(u.Days)
-	e.varint(int64(u.Profile.Friends))
-	e.varint(int64(u.Profile.Badges))
-	e.varint(int64(u.Profile.Mayors))
-	e.f64(u.Profile.CheckinsPerDay)
+	e.Buf = e.Buf[:0]
+	e.Varint(int64(u.ID))
+	e.F64(u.Days)
+	e.Varint(int64(u.Profile.Friends))
+	e.Varint(int64(u.Profile.Badges))
+	e.Varint(int64(u.Profile.Mayors))
+	e.F64(u.Profile.CheckinsPerDay)
 
-	e.uvarint(uint64(len(u.GPS)))
+	e.Uvarint(uint64(len(u.GPS)))
 	var prevT int64
 	var prevLat, prevLon int64
 	for i, p := range u.GPS {
 		if i == 0 {
-			e.varint(p.T)
+			e.Varint(p.T)
 		} else {
-			e.uvarint(uint64(p.T - prevT)) // Validate guarantees non-decreasing
+			e.Uvarint(uint64(p.T - prevT)) // Validate guarantees non-decreasing
 		}
 		prevT = p.T
 		lat, lon := toE7(p.Loc.Lat), toE7(p.Loc.Lon)
-		e.varint(lat - prevLat)
-		e.varint(lon - prevLon)
+		e.Varint(lat - prevLat)
+		e.Varint(lon - prevLon)
 		prevLat, prevLon = lat, lon
 		if p.Indoor {
-			e.byte(1)
+			e.Byte(1)
 		} else {
-			e.byte(0)
+			e.Byte(0)
 		}
 	}
 
-	e.uvarint(uint64(len(u.Checkins)))
+	e.Uvarint(uint64(len(u.Checkins)))
 	prevT = 0
 	for i, c := range u.Checkins {
 		if i == 0 {
-			e.varint(c.T)
+			e.Varint(c.T)
 		} else {
-			e.uvarint(uint64(c.T - prevT))
+			e.Uvarint(uint64(c.T - prevT))
 		}
 		prevT = c.T
-		e.uvarint(uint64(c.POIID))
-		e.str(c.POIName)
-		e.varint(int64(c.Category))
-		e.latlon(c.Loc)
-		e.label(c.Truth)
+		e.Uvarint(uint64(c.POIID))
+		e.Str(c.POIName)
+		e.Varint(int64(c.Category))
+		putLatLon(e, c.Loc)
+		e.Label(string(c.Truth))
 	}
 
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(e.buf)))
-	if _, err := sw.w.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("trace: write binary frame: %w", err)
-	}
-	if _, err := sw.w.Write(e.buf); err != nil {
+	n, err := wire.WritePayload(sw.w, e.Buf)
+	if err != nil {
 		return fmt.Errorf("trace: write binary frame: %w", err)
 	}
 	sw.seen[u.ID] = struct{}{}
 	sw.users++
-	sw.bytes += int64(n + len(e.buf))
+	sw.bytes += int64(n)
 	return nil
 }
 
@@ -400,13 +266,12 @@ func (sw *StreamWriter) Close() error {
 		return nil
 	}
 	sw.closed = true
-	var tail frameEnc
-	tail.uvarint(0) // sentinel: no more frames
-	tail.uvarint(sw.users)
-	if _, err := sw.w.Write(tail.buf); err != nil {
+	var tail wire.Enc
+	tail.Trailer(sw.users)
+	if _, err := sw.w.Write(tail.Buf); err != nil {
 		return fmt.Errorf("trace: write binary trailer: %w", err)
 	}
-	sw.bytes += int64(len(tail.buf))
+	sw.bytes += int64(len(tail.Buf))
 	if err := sw.w.Flush(); err != nil {
 		return fmt.Errorf("trace: write binary trailer: %w", err)
 	}
@@ -438,13 +303,13 @@ func (sw *StreamWriter) Close() error {
 // the file, its mapping or its gzip layer, which Close releases; a
 // shard's reader also checks the manifest's user count at the end.
 type StreamReader struct {
-	r     *bufio.Reader
+	r     *wire.Reader
 	name  string
 	pois  []poi.POI
 	names map[string]string // POI-name intern table, read-only after header
 	seen  map[int]struct{}
 	users uint64
-	end   error // io.EOF after a verified end, else the error the end met; nil before
+	end   error // io.EOF after a verified end, else the error that ended the stream; nil before
 
 	// In-memory mode (NewStreamReaderBytes): frames are sliced straight
 	// out of mm — no copy, no buffer pool. Nil for io.Reader streams.
@@ -544,57 +409,31 @@ type FrameSource interface {
 // expects uncompressed bytes; callers own gzip unwrapping (OpenStream
 // does both).
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+	return newStreamReader(wire.NewReader(&gsb1, r, 0))
+}
+
+// newStreamReader is NewStreamReader over an open wire reader.
+func newStreamReader(rd *wire.Reader) (*StreamReader, error) {
+	if err := rd.Header(); err != nil {
+		return nil, err
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: not a binary dataset (magic %q)", magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported binary version %d (have %d)", version, binaryVersion)
-	}
-	sr := &StreamReader{r: br, seen: make(map[int]struct{})}
-	if sr.name, err = readString(br); err != nil {
+	sr := &StreamReader{r: rd, seen: make(map[int]struct{})}
+	sr.name = rd.Str()
+	nPOIs := rd.Uvarint()
+	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read binary header: %w", err)
 	}
-	nPOIs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
-	sr.pois = make([]poi.POI, 0, min(nPOIs, uint64(br.Buffered()/minPOIBytes)))
+	sr.pois = make([]poi.POI, 0, min(nPOIs, uint64(rd.Buffered()/minPOIBytes)))
 	for i := uint64(0); i < nPOIs; i++ {
-		p := poi.POI{ID: int(i)}
-		if p.Name, err = readString(br); err != nil {
+		p := poi.POI{ID: int(i), Name: rd.Str()}
+		p.Category = poi.Category(rd.Varint())
+		lat := rd.Varint()
+		lon := rd.Varint()
+		p.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)}
+		p.Popularity = rd.F64()
+		if err := rd.Err(); err != nil {
 			return nil, fmt.Errorf("trace: read POI %d: %w", i, err)
 		}
-		cat, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Category = poi.Category(cat)
-		lat, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		lon, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)}
-		var popBits [8]byte
-		if _, err := io.ReadFull(br, popBits[:]); err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Popularity = math.Float64frombits(binary.LittleEndian.Uint64(popBits[:]))
 		sr.pois = append(sr.pois, p)
 	}
 	if err := poi.ValidateTable(sr.pois); err != nil {
@@ -657,19 +496,19 @@ func (h *checkedHeader) bufSize() int {
 	return max(1<<16, len(h.raw))
 }
 
-// reader returns a reader positioned after the header when br's stream
+// reader returns a reader positioned after the header when rd's stream
 // starts with exactly h's bytes. Otherwise ok is false and nothing has
 // been consumed, so the caller parses the header in full.
-func (h *checkedHeader) reader(br *bufio.Reader) (sr *StreamReader, ok bool) {
+func (h *checkedHeader) reader(rd *wire.Reader) (sr *StreamReader, ok bool) {
 	if h == nil {
 		return nil, false
 	}
-	b, err := br.Peek(len(h.raw))
+	b, err := rd.Peek(len(h.raw))
 	if err != nil || !bytes.Equal(b, h.raw) {
 		return nil, false
 	}
-	br.Discard(len(h.raw))
-	return &StreamReader{r: br, name: h.name, pois: h.pois, names: h.names, seen: make(map[int]struct{})}, true
+	rd.Discard(len(h.raw))
+	return &StreamReader{r: rd, name: h.name, pois: h.pois, names: h.names, seen: make(map[int]struct{})}, true
 }
 
 // readerBytes is reader for an in-memory stream (see
@@ -718,116 +557,52 @@ func (sr *StreamReader) NextFrame() (Frame, error) {
 	if sr.mm != nil {
 		return sr.nextFrameBytes()
 	}
-	frameLen, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
-	}
-	if frameLen == 0 {
-		return Frame{}, sr.finish()
-	}
-	if frameLen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
-	}
 	bp, _ := frameBufs.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
-	buf, err := readFrame(sr.r, (*bp)[:0], int(frameLen))
+	buf, err := sr.r.Next((*bp)[:0])
 	*bp = buf[:0]
 	if err != nil {
 		frameBufs.Put(bp)
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
+		return Frame{}, sr.finish(err)
 	}
 	sr.users++
 	return Frame{data: buf, buf: bp}, nil
 }
 
-// readFrame reads n bytes from r into buf's storage, growing it in
-// doubling steps of at least frameGrowBytes as bytes arrive rather than
-// all at once, and returns the filled slice (or what arrived before an
-// error).
-func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if cap(buf) >= n {
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), frameGrowBytes)))
-			copy(grown, buf)
-			buf = grown
-		}
-		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+got]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
 // nextFrameBytes is NextFrame for the in-memory (mmap) mode: frames are
 // subslices of the mapping, so fetching copies nothing and recycles
-// nothing.
+// nothing. The mapping ends at the trailer (wire's EndBytes).
 func (sr *StreamReader) nextFrameBytes() (Frame, error) {
 	frameLen, n := binary.Uvarint(sr.mm[sr.mmPos:])
-	if n <= 0 {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF)
+	switch {
+	case n <= 0:
+		return Frame{}, sr.finish(fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF))
+	case frameLen == 0:
+		return Frame{}, sr.finish(gsb1.EndBytes(sr.mm[sr.mmPos+n:], sr.users))
+	case frameLen > gsb1.Limit:
+		return Frame{}, sr.finish(fmt.Errorf("trace: read binary frame: length %d exceeds limit", frameLen))
+	case uint64(len(sr.mm)-sr.mmPos-n) < frameLen:
+		return Frame{}, sr.finish(fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF))
 	}
 	sr.mmPos += n
-	if frameLen == 0 {
-		return Frame{}, sr.finish()
-	}
-	if frameLen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
-	}
-	if uint64(len(sr.mm)-sr.mmPos) < frameLen {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF)
-	}
 	data := sr.mm[sr.mmPos : sr.mmPos+int(frameLen)]
 	sr.mmPos += int(frameLen)
 	sr.users++
 	return Frame{data: data}, nil
 }
 
-// finish verifies what follows the sentinel: the trailer's user count,
-// then the end of the input, then a shard's count in the manifest. The
-// input ends at the trailer: a mapping holds no byte after it, and one
-// more buffered read reports io.EOF with no byte, which for gzip input
-// is also the read that verifies the stream's CRC-32 and length. The
-// verdict, io.EOF for a clean end, answers every later NextFrame.
-func (sr *StreamReader) finish() error {
-	var count uint64
-	var err error
-	if sr.mm != nil {
-		n := 0
-		if count, n = binary.Uvarint(sr.mm[sr.mmPos:]); n <= 0 {
-			return fmt.Errorf("trace: read binary trailer: %w", io.ErrUnexpectedEOF)
-		}
-		sr.mmPos += n
-	} else if count, err = binary.ReadUvarint(sr.r); err != nil {
-		return fmt.Errorf("trace: read binary trailer: %w", noEOF(err))
+// finish records how the stream ended: err is io.EOF for an end the
+// trailer verified (wire's End), which a shard's reader also checks
+// against the manifest's user count, or the error that ended it. The
+// verdict answers every later NextFrame.
+func (sr *StreamReader) finish(err error) error {
+	if err == io.EOF && sr.shard != nil && int(sr.users) != sr.shard.Users {
+		err = fmt.Errorf("trace: shard has %d users, manifest says %d", sr.users, sr.shard.Users)
 	}
-	if count != sr.users {
-		return fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
-	}
-	if sr.mm == nil {
-		_, err = sr.r.ReadByte()
-	} else if sr.mmPos == len(sr.mm) {
-		err = io.EOF
-	}
-	switch {
-	case err == nil:
-		sr.end = fmt.Errorf("trace: bytes after binary trailer")
-	case err != io.EOF:
-		sr.end = fmt.Errorf("trace: read past binary trailer: %w", err)
-	case sr.shard != nil && int(sr.users) != sr.shard.Users:
-		sr.end = fmt.Errorf("trace: shard has %d users, manifest says %d", sr.users, sr.shard.Users)
-	default:
-		sr.end = io.EOF
-	}
-	return sr.end
+	sr.end = err
+	return err
 }
 
 // Close releases what the reader's opener acquired: the file, its
@@ -896,7 +671,7 @@ func (sr *StreamReader) DecodeFrame(f Frame) (*User, error) {
 // field is overwritten below, so a reused record carries nothing over);
 // otherwise the pool misses and this allocates exactly as before.
 func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
-	d := frameDec{data: data}
+	d := wire.Dec{Data: data, Prefix: "trace: binary frame"}
 	u, _ = userPool.Get().(*User)
 	if u == nil {
 		u = &User{}
@@ -910,52 +685,52 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 			u = nil
 		}
 	}()
-	u.ID = int(d.varint())
-	u.Days = d.f64()
-	u.Profile.Friends = int(d.varint())
-	u.Profile.Badges = int(d.varint())
-	u.Profile.Mayors = int(d.varint())
-	u.Profile.CheckinsPerDay = d.f64()
+	u.ID = int(d.Varint())
+	u.Days = d.F64()
+	u.Profile.Friends = int(d.Varint())
+	u.Profile.Badges = int(d.Varint())
+	u.Profile.Mayors = int(d.Varint())
+	u.Profile.CheckinsPerDay = d.F64()
 
-	nGPS := d.uvarint()
+	nGPS := d.Uvarint()
 	gpsOK := true
-	if d.err == nil {
-		if hint := int(min(nGPS, uint64(len(data)-d.pos)/minFixBytes)); cap(u.GPS) < hint {
+	if d.Err == nil {
+		if hint := int(min(nGPS, uint64(len(data)-d.Pos)/minFixBytes)); cap(u.GPS) < hint {
 			u.GPS = make(GPSTrace, 0, hint)
 		} else {
 			u.GPS = u.GPS[:0]
 		}
-		u.GPS, d.pos, gpsOK, d.err = decodeGPS(data, d.pos, nGPS, u.GPS)
+		u.GPS, d.Pos, gpsOK, d.Err = decodeGPS(data, d.Pos, nGPS, u.GPS)
 	}
 
-	nCk := d.uvarint()
-	if d.err == nil {
-		if hint := int(min(nCk, uint64(len(data)-d.pos)/minCheckinBytes)); cap(u.Checkins) < hint {
+	nCk := d.Uvarint()
+	if d.Err == nil {
+		if hint := int(min(nCk, uint64(len(data)-d.Pos)/minCheckinBytes)); cap(u.Checkins) < hint {
 			u.Checkins = make(CheckinTrace, 0, hint)
 		} else {
 			u.Checkins = u.Checkins[:0]
 		}
 	}
 	var t int64
-	for i := uint64(0); i < nCk && d.err == nil; i++ {
+	for i := uint64(0); i < nCk && d.Err == nil; i++ {
 		if i == 0 {
-			t = d.varint()
+			t = d.Varint()
 		} else {
-			t += int64(d.uvarint())
+			t += int64(d.Uvarint())
 		}
 		c := Checkin{T: t}
-		c.POIID = int(d.uvarint())
-		c.POIName = d.strIntern(sr.names)
-		c.Category = poi.Category(d.varint())
-		c.Loc = d.latlon()
-		c.Truth = d.label()
+		c.POIID = int(d.Uvarint())
+		c.POIName = d.StrIntern(sr.names)
+		c.Category = poi.Category(d.Varint())
+		c.Loc = latLon(&d)
+		c.Truth = Label(d.Label())
 		u.Checkins = append(u.Checkins, c)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, d.Err
 	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.data)-d.pos)
+	if d.Pos != len(d.Data) {
+		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.Data)-d.Pos)
 	}
 
 	// decodeGPS checked every fix; only a failed fix needs the full GPS
@@ -980,7 +755,7 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 // varints of one to three bytes (nearly every delta of a per-minute
 // trace) decode inline; longer, malformed and near-the-end varints go through
 // binary.Uvarint, which fails exactly as binary.Varint does. Errors name
-// the same offsets and kinds as frameDec would.
+// the same offsets and kinds as wire.Dec would.
 //
 // The invariant checks are GPSTrace.Validate's, made as each fix is
 // built: time must not decrease, and the location must be valid. On the
@@ -1096,40 +871,6 @@ func (s userFrames) NextFrame() (Frame, error) {
 
 // DecodeFrame unwraps a pre-decoded frame (there is nothing to decode).
 func (s userFrames) DecodeFrame(f Frame) (*User, error) { return f.user, nil }
-
-// readString reads a uvarint-prefixed string from a header stream.
-func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", noEOF(err)
-	}
-	if n > maxStringBytes {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	// Copy straight out of the reader's buffer into the string's own
-	// storage, a window at a time: one allocation per string.
-	var sb strings.Builder
-	sb.Grow(int(n))
-	for sb.Len() < int(n) {
-		b, err := br.Peek(min(int(n)-sb.Len(), br.Size()))
-		sb.Write(b)
-		br.Discard(len(b))
-		if err != nil {
-			return "", noEOF(err)
-		}
-	}
-	return sb.String(), nil
-}
-
-// noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a header
-// or frame, running out of bytes is truncation, not a clean end, and must
-// never be mistaken for the iterator's end-of-stream signal.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
 
 // --- whole-dataset convenience ---
 

@@ -13,6 +13,7 @@ import (
 
 	"geosocial/internal/atomicfile"
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // Format identifies an on-disk dataset encoding.
@@ -191,35 +192,11 @@ func mapBinary(f *os.File) (data []byte, unmap func() error, ok bool) {
 	if err != nil {
 		return nil, nil, false
 	}
-	if len(data) < len(binaryMagic) || [4]byte(data[:len(binaryMagic)]) != binaryMagic {
+	if len(data) < len(gsb1.Magic) || [4]byte(data[:len(gsb1.Magic)]) != gsb1.Magic {
 		unmapFn()
 		return nil, nil, false
 	}
 	return data, unmapFn, true
-}
-
-// sniffReader detects gzip by magic bytes (regardless of file suffix) and
-// returns a buffered reader over the uncompressed stream plus a closer
-// for the gzip layer (nil when not compressed). The buffer holds at
-// least size bytes.
-func sniffReader(r io.Reader, size int) (*bufio.Reader, io.Closer, error) {
-	br := bufio.NewReaderSize(r, size)
-	hdr, err := br.Peek(2)
-	if err == nil && hdr[0] == 0x1f && hdr[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bufio.NewReaderSize(gz, size), gz, nil
-	}
-	return br, nil, nil
-}
-
-// isBinary reports whether the buffered stream starts with the binary
-// dataset magic.
-func isBinary(br *bufio.Reader) bool {
-	hdr, err := br.Peek(len(binaryMagic))
-	return err == nil && [4]byte(hdr) == binaryMagic
 }
 
 // LoadFile reads a dataset from a file in either format and validates
@@ -232,14 +209,14 @@ func LoadFile(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("trace: load dataset: %w", err)
 	}
 	defer f.Close()
-	br, gz, err := sniffReader(f, 1<<16)
+	br, gz, err := wire.Sniff(f, 1<<16)
 	if err != nil {
 		return nil, fmt.Errorf("trace: load dataset: %w", err)
 	}
 	if gz != nil {
 		defer gz.Close()
 	}
-	if isBinary(br) {
+	if gsb1.Begins(br) {
 		return ReadBinary(br)
 	}
 	return ReadJSON(br)
@@ -296,7 +273,7 @@ func (s *DatasetStream) Close() error {
 func OpenStream(path string) (*DatasetStream, error) {
 	sr, _, err := openFile(path, nil, "")
 	if err == errNotGSB1 {
-		ds, err := ReadJSON(sr.r)
+		ds, err := ReadJSON(sr.r.Reader)
 		sr.Close()
 		if err != nil {
 			return nil, err
@@ -345,7 +322,7 @@ func openFile(path string, h *checkedHeader, shard string) (sr *StreamReader, ch
 			sr, err = NewStreamReaderBytes(data)
 		}
 	} else {
-		br, gz, gzErr := sniffReader(f, h.bufSize())
+		br, gz, gzErr := wire.Sniff(f, h.bufSize())
 		if gzErr != nil {
 			f.Close()
 			return nil, false, openErr(gzErr)
@@ -354,11 +331,12 @@ func openFile(path string, h *checkedHeader, shard string) (sr *StreamReader, ch
 		if gz != nil {
 			owned = []func() error{gz.Close, f.Close}
 		}
-		if shard == "" && !isBinary(br) {
-			return &StreamReader{r: br, owned: owned}, false, errNotGSB1
+		rd := wire.NewReader(&gsb1, br, 0)
+		if shard == "" && !gsb1.Begins(br) {
+			return &StreamReader{r: rd, owned: owned}, false, errNotGSB1
 		}
-		if sr, checked = h.reader(br); !checked {
-			sr, err = NewStreamReader(br)
+		if sr, checked = h.reader(rd); !checked {
+			sr, err = newStreamReader(rd)
 		}
 	}
 	if err != nil {

@@ -68,7 +68,7 @@ func BenchmarkCodecEncodeJSON(b *testing.B) {
 // BenchmarkCodecEncodeBinary measures binary encoding; compare its
 // encoded-bytes against the JSON bench (expect several times smaller).
 // allocs/op stays flat in the dataset size because the StreamWriter
-// reuses one frameEnc scratch buffer across users.
+// reuses one wire.Enc scratch buffer across users.
 func BenchmarkCodecEncodeBinary(b *testing.B) {
 	ds, rawJSON, raw := codecFixture(b)
 	b.SetBytes(int64(len(raw)))

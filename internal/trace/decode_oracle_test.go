@@ -2,7 +2,7 @@ package trace
 
 // Differential oracle for the binary frame decoder. referenceDecodeFrame
 // is the decoder as it stood before the fused GPS kernel: every field
-// through frameDec's sticky-error helpers, slices grown by append, then
+// through wire.Dec's sticky-error helpers, slices grown by append, then
 // a separate User.Validate pass. DecodeFrame must agree with it on every
 // input: a frame the reference accepts decodes to an equal user (bit-
 // equal coordinates and floats), and a frame it rejects fails with the
@@ -20,33 +20,34 @@ import (
 
 	"geosocial/internal/geo"
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // referenceDecodeFrame decodes one frame payload the straightforward
 // way, for a stream whose POI table has numPOIs entries and whose name
 // intern table is names.
 func referenceDecodeFrame(numPOIs int, names map[string]string, data []byte) (*User, error) {
-	d := frameDec{data: data}
+	d := wire.Dec{Data: data, Prefix: "trace: binary frame"}
 	u := &User{}
-	u.ID = int(d.varint())
-	u.Days = d.f64()
-	u.Profile.Friends = int(d.varint())
-	u.Profile.Badges = int(d.varint())
-	u.Profile.Mayors = int(d.varint())
-	u.Profile.CheckinsPerDay = d.f64()
+	u.ID = int(d.Varint())
+	u.Days = d.F64()
+	u.Profile.Friends = int(d.Varint())
+	u.Profile.Badges = int(d.Varint())
+	u.Profile.Mayors = int(d.Varint())
+	u.Profile.CheckinsPerDay = d.F64()
 
-	nGPS := d.uvarint()
+	nGPS := d.Uvarint()
 	var t int64
 	var lat, lon int64
-	for i := uint64(0); i < nGPS && d.err == nil; i++ {
+	for i := uint64(0); i < nGPS && d.Err == nil; i++ {
 		if i == 0 {
-			t = d.varint()
+			t = d.Varint()
 		} else {
-			t += int64(d.uvarint())
+			t += int64(d.Uvarint())
 		}
-		lat += d.varint()
-		lon += d.varint()
-		indoor := d.byte()
+		lat += d.Varint()
+		lon += d.Varint()
+		indoor := d.Byte()
 		u.GPS = append(u.GPS, GPSPoint{
 			T:      t,
 			Loc:    geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)},
@@ -54,27 +55,27 @@ func referenceDecodeFrame(numPOIs int, names map[string]string, data []byte) (*U
 		})
 	}
 
-	nCk := d.uvarint()
+	nCk := d.Uvarint()
 	t = 0
-	for i := uint64(0); i < nCk && d.err == nil; i++ {
+	for i := uint64(0); i < nCk && d.Err == nil; i++ {
 		if i == 0 {
-			t = d.varint()
+			t = d.Varint()
 		} else {
-			t += int64(d.uvarint())
+			t += int64(d.Uvarint())
 		}
 		c := Checkin{T: t}
-		c.POIID = int(d.uvarint())
-		c.POIName = d.strIntern(names)
-		c.Category = poi.Category(d.varint())
-		c.Loc = d.latlon()
-		c.Truth = d.label()
+		c.POIID = int(d.Uvarint())
+		c.POIName = d.StrIntern(names)
+		c.Category = poi.Category(d.Varint())
+		c.Loc = latLon(&d)
+		c.Truth = Label(d.Label())
 		u.Checkins = append(u.Checkins, c)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, d.Err
 	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.data)-d.pos)
+	if d.Pos != len(d.Data) {
+		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.Data)-d.Pos)
 	}
 	if err := u.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: invalid dataset: %w", err)
@@ -83,21 +84,6 @@ func referenceDecodeFrame(numPOIs int, names map[string]string, data []byte) (*U
 		return nil, fmt.Errorf("trace: invalid dataset: %w", err)
 	}
 	return u, nil
-}
-
-// byte reads the indoor flag of a fix for the reference decoder (the
-// GPS kernel reads it inline).
-func (d *frameDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.fail("trace: binary frame: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
 }
 
 // userDiff describes the first difference between two decoded users, or
@@ -205,48 +191,48 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // frameHead starts a frame payload: the user fields ahead of the GPS
 // count.
-func frameHead(id int64) frameEnc {
-	var e frameEnc
-	e.varint(id)
-	e.f64(1.5)
-	e.varint(3)
-	e.varint(2)
-	e.varint(1)
-	e.f64(0.25)
+func frameHead(id int64) wire.Enc {
+	var e wire.Enc
+	e.Varint(id)
+	e.F64(1.5)
+	e.Varint(3)
+	e.Varint(2)
+	e.Varint(1)
+	e.F64(0.25)
 	return e
 }
 
 func (f rawFrame) bytes() []byte {
 	e := frameHead(f.id)
-	e.uvarint(uint64(len(f.fixes)))
+	e.Uvarint(uint64(len(f.fixes)))
 	var prev rawFix
 	for i, p := range f.fixes {
 		if i == 0 {
-			e.buf = putUvarint(e.buf, zigzag(p.t), f.pad)
+			e.Buf = putUvarint(e.Buf, zigzag(p.t), f.pad)
 		} else {
-			e.buf = putUvarint(e.buf, uint64(p.t-prev.t), f.pad)
+			e.Buf = putUvarint(e.Buf, uint64(p.t-prev.t), f.pad)
 		}
-		e.buf = putUvarint(e.buf, zigzag(p.lat-prev.lat), f.pad)
-		e.buf = putUvarint(e.buf, zigzag(p.lon-prev.lon), f.pad)
-		e.byte(p.indoor)
+		e.Buf = putUvarint(e.Buf, zigzag(p.lat-prev.lat), f.pad)
+		e.Buf = putUvarint(e.Buf, zigzag(p.lon-prev.lon), f.pad)
+		e.Byte(p.indoor)
 		prev = p
 	}
-	e.uvarint(uint64(len(f.checkins)))
+	e.Uvarint(uint64(len(f.checkins)))
 	var prevT int64
 	for i, c := range f.checkins {
 		if i == 0 {
-			e.varint(c.T)
+			e.Varint(c.T)
 		} else {
-			e.uvarint(uint64(c.T - prevT))
+			e.Uvarint(uint64(c.T - prevT))
 		}
 		prevT = c.T
-		e.uvarint(uint64(c.POIID))
-		e.str(c.POIName)
-		e.varint(int64(c.Category))
-		e.latlon(c.Loc)
-		e.label(c.Truth)
+		e.Uvarint(uint64(c.POIID))
+		e.Str(c.POIName)
+		e.Varint(int64(c.Category))
+		putLatLon(&e, c.Loc)
+		e.Label(string(c.Truth))
 	}
-	return e.buf
+	return e.Buf
 }
 
 // deltaOfBytes returns a random non-negative integer whose uvarint
@@ -350,23 +336,23 @@ func oracleFrames(r *rand.Rand) [][]byte {
 	for _, tail := range []int{0, maxFixBytes} {
 		for field := 0; field < 3; field++ {
 			e := frameHead(9)
-			e.uvarint(3)
-			e.varint(0)
-			e.varint(maxLat + 1)
-			e.varint(0)
-			e.byte(0)
-			e.uvarint(60)
+			e.Uvarint(3)
+			e.Varint(0)
+			e.Varint(maxLat + 1)
+			e.Varint(0)
+			e.Byte(0)
+			e.Uvarint(60)
 			if field > 0 {
-				e.varint(-maxLat - 1)
+				e.Varint(-maxLat - 1)
 			}
 			if field > 1 {
-				e.varint(0)
+				e.Varint(0)
 			}
-			frames = append(frames, append(append(e.buf, overflow...), make([]byte, tail)...))
+			frames = append(frames, append(append(e.Buf, overflow...), make([]byte, tail)...))
 		}
 		e := frameHead(10)
-		e.uvarint(1)
-		frames = append(frames, append(append(e.buf, overflow...), make([]byte, tail)...))
+		e.Uvarint(1)
+		frames = append(frames, append(append(e.Buf, overflow...), make([]byte, tail)...))
 	}
 
 	// Random byte flips in valid frames.
@@ -407,12 +393,12 @@ func TestDecodeFrameMatchesReference(t *testing.T) {
 func TestForgedCountAllocBounded(t *testing.T) {
 	sr := oracleReader(t)
 	gps := frameHead(1)
-	gps.uvarint(1 << 40)
+	gps.Uvarint(1 << 40)
 	cks := frameHead(1)
-	cks.uvarint(0)
-	cks.uvarint(1 << 40)
-	for name, e := range map[string]frameEnc{"fixes": gps, "checkins": cks} {
-		data := append(e.buf, make([]byte, 64-len(e.buf))...)
+	cks.Uvarint(0)
+	cks.Uvarint(1 << 40)
+	for name, e := range map[string]wire.Enc{"fixes": gps, "checkins": cks} {
+		data := append(e.Buf, make([]byte, 64-len(e.Buf))...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		u, err := sr.DecodeFrame(Frame{data: data})
@@ -431,7 +417,7 @@ func TestForgedCountAllocBounded(t *testing.T) {
 // 2^40 POIs must fail on the missing entries having sized its POI table
 // by the bytes behind the count, not by the count.
 func TestForgedPOICountAllocBounded(t *testing.T) {
-	data := append([]byte("GSB1"), binaryVersion, 1, 'x')
+	data := append([]byte("GSB1"), byte(gsb1.Version), 1, 'x')
 	data = binary.AppendUvarint(data, 1<<40)
 	data = append(data, make([]byte, 64-len(data))...)
 	br := bufio.NewReaderSize(bytes.NewReader(data), 1<<16)

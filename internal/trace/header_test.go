@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // headerSet writes ds as a set of n shards in a fresh directory and
@@ -108,12 +109,12 @@ func TestOpenShardZeroPaddedTable(t *testing.T) {
 			padded := appendHeader(nil, sr.Name(), nil)
 			padded = putUvarint(padded, uint64(len(sr.POIs())), 3)
 			for _, p := range sr.POIs() {
-				e := frameEnc{buf: padded}
-				e.str(p.Name)
-				e.buf = putUvarint(e.buf, zigzag(int64(p.Category)), 2)
-				e.latlon(p.Loc)
-				e.f64(p.Popularity)
-				padded = e.buf
+				e := wire.Enc{Buf: padded}
+				e.Str(p.Name)
+				e.Buf = putUvarint(e.Buf, zigzag(int64(p.Category)), 2)
+				putLatLon(&e, p.Loc)
+				e.F64(p.Popularity)
+				padded = e.Buf
 			}
 			writeStream(t, path, append(padded, stream[len(hdr):]...))
 
