@@ -55,13 +55,15 @@ type AnalyzeOptions struct {
 	Threshold float64
 	// BurstGap is the burstiness detector's gap threshold (default 2m).
 	BurstGap time.Duration
-	// TradeoffTargets are the extraneous-removal fractions reported as
-	// headline trade-off points (default 0.5, 0.8, 0.95).
-	TradeoffTargets []float64
-	// CurvePoints caps the trade-off curve samples included in the
-	// report (default 200; the underlying curve has one point per user).
-	CurvePoints int
 }
+
+// tradeoffTargets are the extraneous-removal fractions the trade-off
+// analysis reports as headline points.
+var tradeoffTargets = [...]float64{0.5, 0.8, 0.95}
+
+// curvePoints caps the trade-off curve samples included in the report
+// (the underlying curve has one point per user).
+const curvePoints = 200
 
 func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 	if o.Folds <= 0 {
@@ -72,12 +74,6 @@ func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 	}
 	if o.BurstGap <= 0 {
 		o.BurstGap = 2 * time.Minute
-	}
-	if len(o.TradeoffTargets) == 0 {
-		o.TradeoffTargets = []float64{0.5, 0.8, 0.95}
-	}
-	if o.CurvePoints <= 0 {
-		o.CurvePoints = 200
 	}
 	return o
 }
@@ -179,7 +175,7 @@ type TradeoffTarget struct {
 type TradeoffReport struct {
 	// CurveUsers is the underlying curve length (users with checkins).
 	CurveUsers int `json:"curve_users"`
-	// Curve is the trade-off curve, decimated to at most CurvePoints
+	// Curve is the trade-off curve, decimated to at most 200
 	// samples (the last point is always included).
 	Curve []TradeoffPoint `json:"curve"`
 	// Targets are the headline points the paper quotes.
@@ -209,7 +205,7 @@ func AnalyzeOutcomesOpts(path, kind string, opts AnalyzeOptions) (*OutcomeAnalys
 	case AnalysisLevy:
 		err = a.runLevy(path)
 	case AnalysisTradeoff:
-		err = a.runTradeoff(path, opts)
+		err = a.runTradeoff(path)
 	default:
 		return nil, fmt.Errorf("geosocial: unknown analysis kind %q (have %s)",
 			kind, strings.Join(AnalysisKinds(), ", "))
@@ -314,7 +310,7 @@ func levyModelReport(m *levy.Model) LevyModelReport {
 	}
 }
 
-func (a *OutcomeAnalysis) runTradeoff(path string, opts AnalyzeOptions) error {
+func (a *OutcomeAnalysis) runTradeoff(path string) error {
 	ft, st, err := outcome.FilterTradeoff(path)
 	if err != nil {
 		return fmt.Errorf("geosocial: %w", err)
@@ -323,8 +319,8 @@ func (a *OutcomeAnalysis) runTradeoff(path string, opts AnalyzeOptions) error {
 	n := len(ft.UsersDropped)
 	rep := &TradeoffReport{CurveUsers: n}
 	step := 1
-	if n > opts.CurvePoints {
-		step = int(math.Ceil(float64(n) / float64(opts.CurvePoints)))
+	if n > curvePoints {
+		step = int(math.Ceil(float64(n) / float64(curvePoints)))
 	}
 	for i := 0; i < n; i += step {
 		rep.Curve = append(rep.Curve, TradeoffPoint{
@@ -340,7 +336,7 @@ func (a *OutcomeAnalysis) runTradeoff(path string, opts AnalyzeOptions) error {
 			HonestLost:        ft.HonestLost[n-1],
 		})
 	}
-	for _, target := range opts.TradeoffTargets {
+	for _, target := range tradeoffTargets {
 		dropped, lost := ft.HonestLossAt(target)
 		rep.Targets = append(rep.Targets, TradeoffTarget{
 			TargetExtraneous: target,

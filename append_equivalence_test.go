@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"geosocial/internal/classify"
 	"geosocial/internal/core"
 	"geosocial/internal/outcome"
 	"geosocial/internal/trace"
@@ -291,7 +292,7 @@ func TestIncrementalUpdateRevalidatesOnlyTouched(t *testing.T) {
 	if _, err := UpdateValidation(manifest, prev, prevLog, StreamOptions{
 		Workers:    1,
 		OutcomeLog: updLog,
-		validated:  func(id int) { got = append(got, id) },
+		keep:       func(o core.UserOutcome, _ *classify.Classification) { got = append(got, o.User.ID) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +305,8 @@ func TestIncrementalUpdateRevalidatesOnlyTouched(t *testing.T) {
 
 	var all []int
 	if _, err := ValidateFileOpts(manifest, StreamOptions{
-		Workers:   1,
-		validated: func(id int) { all = append(all, id) },
+		Workers: 1,
+		keep:    func(o core.UserOutcome, _ *classify.Classification) { all = append(all, o.User.ID) },
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,10 @@ var (
 func ctxForBench(b *testing.B) *eval.Context {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchCtx, benchErr = eval.NewContext(benchScale, 42)
+		var s *geosocial.Study
+		if s, benchErr = geosocial.GenerateStudy(geosocial.StudyConfig{Scale: benchScale, Seed: 42}); benchErr == nil {
+			benchCtx, benchErr = geosocial.EvalContext(s)
+		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -366,15 +369,14 @@ func BenchmarkGenerateSerial(b *testing.B) { benchGenerate(b, 1) }
 // BenchmarkGenerateParallel runs generation on all cores.
 func BenchmarkGenerateParallel(b *testing.B) { benchGenerate(b, runtime.GOMAXPROCS(0)) }
 
-// benchValidate measures the §4 pipeline (visit detection + matching)
-// over the shared context's primary dataset with the given worker count.
+// benchValidate measures the in-memory pipeline (visit detection with
+// the POI snap, matching and classification on the engine) over the
+// shared context's primary dataset with the given worker count.
 func benchValidate(b *testing.B, workers int) {
 	ctx := ctxForBench(b)
-	v := core.NewValidator()
-	v.Parallelism = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := v.ValidateDataset(ctx.Primary); err != nil {
+		if _, err := geosocial.ValidateDatasetWorkers(ctx.Primary, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -394,8 +396,8 @@ func BenchmarkValidatePipelineParallel(b *testing.B) { benchValidate(b, runtime.
 
 // benchValidateStream measures the facade's streaming engine over the
 // users benchValidate processes in memory, saved as one binary file;
-// the delta against BenchmarkValidatePipeline* is the cost of decode,
-// classification and the windowed hand-off.
+// the delta against BenchmarkValidatePipeline* is the cost of decode
+// less the cost of the POI snap.
 func benchValidateStream(b *testing.B, workers int) {
 	ctx := ctxForBench(b)
 	path := filepath.Join(b.TempDir(), "primary.bin")
@@ -416,23 +418,3 @@ func BenchmarkValidateStreamSerial(b *testing.B) { benchValidateStream(b, 1) }
 
 // BenchmarkValidateStreamParallel runs streaming validation on all cores.
 func BenchmarkValidateStreamParallel(b *testing.B) { benchValidateStream(b, runtime.GOMAXPROCS(0)) }
-
-// benchClassify measures taxonomy classification over the shared
-// context's outcomes with the given worker count.
-func benchClassify(b *testing.B, workers int) {
-	ctx := ctxForBench(b)
-	p := classify.DefaultParams()
-	p.Parallelism = workers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := classify.ClassifyAll(ctx.PrimaryOuts, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClassifySerial pins classification to the single-core path.
-func BenchmarkClassifySerial(b *testing.B) { benchClassify(b, 1) }
-
-// BenchmarkClassifyParallel runs classification on all cores.
-func BenchmarkClassifyParallel(b *testing.B) { benchClassify(b, runtime.GOMAXPROCS(0)) }

@@ -1,7 +1,9 @@
-// Command geoexp regenerates the paper's tables and figures: it builds a
-// synthetic study at the requested scale, runs the selected experiments
-// and prints each report (measured rows/series plus the paper's published
-// values for comparison).
+// Command geoexp regenerates the paper's tables and figures: it generates
+// a synthetic study at the requested scale (geosocial.GenerateStudy),
+// runs the selected experiments on it (Study.RunExperiment, which
+// validates each cohort once on the validation engine) and prints each
+// report (measured rows/series plus the paper's published values for
+// comparison).
 //
 // Usage:
 //
@@ -10,9 +12,9 @@
 //	geoexp -scale 1.0 -workers 8      # build the study on 8 workers
 //	geoexp -list
 //
-// The -workers flag controls per-user pipeline parallelism while the
-// study context is built (0 = all cores); reports are identical for any
-// worker count.
+// The -workers flag controls per-user pipeline parallelism for
+// generation and validation (0 = all cores); reports are identical for
+// any worker count.
 package main
 
 import (
@@ -25,7 +27,7 @@ import (
 	"strings"
 	"time"
 
-	"geosocial/internal/eval"
+	"geosocial"
 	"geosocial/internal/obs"
 )
 
@@ -67,31 +69,35 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *list {
-		for _, id := range eval.IDs() {
+		for _, id := range geosocial.Experiments() {
 			fmt.Fprintln(stdout, id)
 		}
 		return nil
 	}
 
+	// GenerateStudy reads scale 0 as the full study; here it is a typo.
+	if *scale <= 0 {
+		return fmt.Errorf("scale must be positive, got %g", *scale)
+	}
 	start := time.Now()
-	ctx, err := eval.NewContextWorkers(*scale, *seed, *workers)
+	study, err := geosocial.GenerateStudy(geosocial.StudyConfig{Scale: *scale, Seed: *seed, Parallelism: *workers})
 	if err != nil {
+		return err
+	}
+	// The primary cohort is nearly all of the validation work; the
+	// baseline is validated when the first experiment reads it.
+	if _, err := study.Validate(); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "study generated and validated at scale %.2f (seed %d) in %v\n\n",
 		*scale, *seed, time.Since(start).Round(time.Millisecond))
 
-	ids := eval.IDs()
+	ids := geosocial.Experiments()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		rep, err := eval.Run(ctx, id)
-		if err != nil {
-			return err
-		}
-		if err := rep.Render(stdout); err != nil {
+		if err := study.RunExperiment(strings.TrimSpace(id), stdout); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)

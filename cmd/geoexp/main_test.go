@@ -38,3 +38,14 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 		t.Fatal("expected error for unknown experiment ID")
 	}
 }
+
+// TestRunRejectsNonPositiveScale: the study generator reads scale 0 as
+// the full study, so the tool must refuse it (and negative scales)
+// itself.
+func TestRunRejectsNonPositiveScale(t *testing.T) {
+	for _, scale := range []string{"0", "-1"} {
+		if err := run([]string{"-scale", scale, "-exp", "fig1"}, &bytes.Buffer{}); err == nil {
+			t.Errorf("-scale %s accepted", scale)
+		}
+	}
+}

@@ -17,8 +17,8 @@ package geosocial
 // commute: the result is byte-identical to a cold validation of the
 // same users for any worker count, shard split, checkpoint state and
 // append history. Builders (ValidateFileOpts, validateShardSet,
-// planCheckpoints, UpdateValidation) fill the parts; the engine never
-// asks which builder made the plan.
+// planCheckpoints, UpdateValidation, ValidateDatasetWorkers) fill the
+// parts; the engine never asks which builder made the plan.
 
 import (
 	"fmt"
@@ -29,6 +29,7 @@ import (
 	"geosocial/internal/obs"
 	"geosocial/internal/outcome"
 	"geosocial/internal/par"
+	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
 
@@ -40,7 +41,11 @@ type plan struct {
 	shards []string
 
 	sources []source
-	add     []contribution
+	// db, when non-nil, snaps every validated user's visits to its POIs.
+	// Only the in-memory API sets it (Figures 3 and 4 read the snap);
+	// nothing a file or shard run reports does.
+	db  *poi.DB
+	add []contribution
 	// prior, when non-empty, is a previous outcome log. A record of a
 	// user this run revalidates is subtracted from the slot that
 	// revalidated it; every other record adds its truth counts (the
@@ -126,7 +131,7 @@ func (p *plan) run(opts StreamOptions) (*StreamResult, error) {
 	e := &engine{
 		p:       p,
 		opts:    opts,
-		v:       core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig},
+		v:       core.Validator{Params: opts.Params},
 		cls:     classify.DefaultParams(),
 		slots:   make([]tally, n+1),
 		spans:   make([]shardSpans, n),
@@ -251,7 +256,8 @@ func (e *engine) stream() error {
 	// keep), so it goes back to its source's pool for the next decode.
 	// Only trace.UserRecycler sources participate; a generational fold
 	// source is one over a shard reader (the DeltaSet keeps its delta
-	// records, which a fold never hands out).
+	// records, which a fold never hands out). The in-memory API's source,
+	// whose outcomes keep retains, is not one.
 	recyclers := make([]trace.UserRecycler, len(srcs))
 	for j, s := range srcs {
 		recyclers[j], _ = s.src.(trace.UserRecycler)
@@ -371,9 +377,7 @@ func (e *engine) foldPass() error {
 // classification and, when logging, record distillation (and its
 // encoding for a checkpoint fragment when encode is set).
 func (e *engine) process(u *trace.User, sp *shardSpans, encode bool) (outcomeCls, error) {
-	// No POI database: nothing the engine reports (partition, taxonomy,
-	// truth, outcome record, checkpoint fragment) reads a visit's snap.
-	o, err := e.v.ValidateUserSpans(u, nil, sp.segment, sp.match)
+	o, err := e.v.ValidateUserSpans(u, e.p.db, sp.segment, sp.match)
 	if err != nil {
 		return outcomeCls{}, err
 	}
@@ -414,8 +418,8 @@ func (e *engine) account(slot int, oc outcomeCls) error {
 		}
 	}
 	t.truth.Add(oc.out)
-	if e.opts.validated != nil {
-		e.opts.validated(id)
+	if e.opts.keep != nil {
+		e.opts.keep(oc.out, oc.cls)
 	}
 	if oc.rec != nil {
 		return e.emit(oc.rec)

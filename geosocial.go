@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"geosocial/internal/checkpoint"
@@ -47,7 +48,6 @@ import (
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
 	"geosocial/internal/trace"
-	"geosocial/internal/visits"
 )
 
 // StudyConfig configures synthetic study generation.
@@ -63,16 +63,39 @@ type StudyConfig struct {
 	// classification). <= 0 selects runtime.GOMAXPROCS(0); 1 runs the
 	// serial path. Results are byte-identical for any value and any
 	// GOMAXPROCS: per-user random streams are split serially before work
-	// fans out, and outcomes land in index-addressed slots.
+	// fans out, and the engine accounts users in dataset order.
 	Parallelism int
 }
 
-// Study is a generated (or loaded) pair of datasets.
+// Study is a generated (or loaded) pair of datasets. Each cohort is
+// validated at most once, on first use: Validate and every
+// RunExperiment share that run, so the datasets must not change once
+// either has been called.
 type Study struct {
 	Primary  *trace.Dataset
 	Baseline *trace.Dataset
 	cfg      StudyConfig
+
+	primary, baseline cohort
 }
+
+// cohort is one dataset's shared validation.
+type cohort struct {
+	once sync.Once
+	res  *ValidationResult
+	err  error
+}
+
+// validate runs ds through the engine the first time it is called and
+// returns that run's result every time.
+func (c *cohort) validate(ds *trace.Dataset, workers int) (*ValidationResult, error) {
+	c.once.Do(func() { c.res, c.err = validateCohort(ds, workers) })
+	return c.res, c.err
+}
+
+// validateCohort is the run behind a study's cohort; tests replace it
+// to count runs.
+var validateCohort = ValidateDatasetWorkers
 
 // GenerateStudy produces the synthetic Primary and Baseline datasets
 // (the substitution for the paper's user study; see DESIGN.md).
@@ -113,10 +136,8 @@ func LoadDataset(path string) (*trace.Dataset, error) { return trace.LoadFile(pa
 // value selects the paper's parameters and the default worker count.
 type StreamOptions struct {
 	// Params are the matching thresholds (core.DefaultParams when zero).
+	// Stay-point detection always uses visits.DefaultConfig.
 	Params core.Params
-	// VisitConfig parameterizes stay-point detection
-	// (visits.DefaultConfig when zero).
-	VisitConfig visits.Config
 	// Workers is the per-user pipeline worker count (<= 0 selects
 	// GOMAXPROCS, 1 the serial path; results are identical for any
 	// value).
@@ -155,11 +176,13 @@ type StreamOptions struct {
 	// on the hot path (no clock reads, no allocation).
 	Spans *obs.Collector
 
-	// validated, when non-nil, observes every user ID as its outcome is
-	// accumulated, serially on the collecting goroutine. Tests use it to
-	// assert which users a run actually validated (the incremental path
-	// must touch only appended users).
-	validated func(userID int)
+	// keep, when non-nil, receives every validated user's outcome and
+	// classification as the engine accounts it: serially, in merged
+	// order. The in-memory API collects its result through it; tests
+	// use it to assert which users a run validated. A file or shard
+	// source recycles the user once keep returns, so there keep must
+	// not retain it.
+	keep func(core.UserOutcome, *classify.Classification)
 }
 
 // StreamResult is the bounded-memory analogue of ValidationResult: the
@@ -383,9 +406,10 @@ type ValidationResult struct {
 
 // Validate runs visit detection, matching and classification on the
 // Primary dataset with the paper's parameters and the study's
-// Parallelism.
+// Parallelism. The run happens once per study; later calls, and every
+// RunExperiment, share its result.
 func (s *Study) Validate() (*ValidationResult, error) {
-	return ValidateDatasetWorkers(s.Primary, s.cfg.Parallelism)
+	return s.primary.validate(s.Primary, s.cfg.Parallelism)
 }
 
 // ValidateDataset runs the full validation pipeline on any dataset with
@@ -395,22 +419,29 @@ func ValidateDataset(ds *trace.Dataset) (*ValidationResult, error) {
 }
 
 // ValidateDatasetWorkers is ValidateDataset with an explicit worker count
-// (<= 0 selects GOMAXPROCS, 1 the serial path). The result is identical
-// for any value.
+// (<= 0 selects GOMAXPROCS, 1 the serial path). The dataset is one
+// source of the validation engine, with its POI database so visits are
+// snapped; the result is identical for any worker count.
 func ValidateDatasetWorkers(ds *trace.Dataset, workers int) (*ValidationResult, error) {
-	v := core.NewValidator()
-	v.Parallelism = workers
-	outs, part, err := v.ValidateDataset(ds)
+	db, err := ds.DB()
 	if err != nil {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
-	params := classify.DefaultParams()
-	params.Parallelism = workers
-	cls, err := classify.ClassifyAll(outs, params)
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+	res := &ValidationResult{
+		Outcomes:        make([]core.UserOutcome, 0, len(ds.Users)),
+		Classifications: make([]*classify.Classification, 0, len(ds.Users)),
 	}
-	return &ValidationResult{Outcomes: outs, Partition: part, Classifications: cls}, nil
+	p := &plan{name: ds.Name, shards: []string{ds.Name}, db: db,
+		sources: []source{{src: trace.SourceFrames(ds.Source())}}}
+	sr, err := p.run(StreamOptions{Workers: workers, keep: func(o core.UserOutcome, c *classify.Classification) {
+		res.Outcomes = append(res.Outcomes, o)
+		res.Classifications = append(res.Classifications, c)
+	}})
+	if err != nil {
+		return nil, err
+	}
+	res.Partition = sr.Partition
+	return res, nil
 }
 
 // Breakdown returns the §5.1 taxonomy counts over all checkins.
@@ -518,7 +549,8 @@ func GenerateMobility(m *levy.Model, nodes int, opt levy.GenOptions, seed uint64
 func Experiments() []string { return eval.IDs() }
 
 // RunExperiment executes one experiment at the study's scale and writes
-// its report to w.
+// its report to w. It validates each cohort on the study's first use of
+// it and shares that run with Validate and later experiments.
 func (s *Study) RunExperiment(id string, w io.Writer) error {
 	ctx, err := s.evalContext()
 	if err != nil {
@@ -531,13 +563,26 @@ func (s *Study) RunExperiment(id string, w io.Writer) error {
 	return rep.Render(w)
 }
 
-// evalContext adapts the study to the experiment harness, validating the
-// Primary and Baseline datasets concurrently.
+// evalContext adapts the study's shared cohort validations to the
+// experiment harness.
 func (s *Study) evalContext() (*eval.Context, error) {
-	ctx, err := eval.NewContextFromDatasets(s.Primary, s.Baseline, s.cfg.Parallelism)
+	p, err := s.Validate()
 	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+		return nil, err
 	}
-	ctx.Scale, ctx.Seed = s.cfg.Scale, s.cfg.Seed
-	return ctx, nil
+	b, err := s.baseline.validate(s.Baseline, s.cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return &eval.Context{
+		Scale:        s.cfg.Scale,
+		Seed:         s.cfg.Seed,
+		Primary:      s.Primary,
+		Baseline:     s.Baseline,
+		PrimaryOuts:  p.Outcomes,
+		PrimaryPart:  p.Partition,
+		BaselineOuts: b.Outcomes,
+		BaselinePart: b.Partition,
+		Cls:          p.Classifications,
+	}, nil
 }

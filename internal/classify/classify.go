@@ -11,7 +11,6 @@ import (
 
 	"geosocial/internal/core"
 	"geosocial/internal/geo"
-	"geosocial/internal/par"
 	"geosocial/internal/trace"
 	"geosocial/internal/visits"
 )
@@ -78,10 +77,6 @@ type Params struct {
 	// SpeedGap is the maximum GPS-fix spacing usable for speed
 	// estimation.
 	SpeedGap time.Duration
-	// Parallelism is the number of workers used by ClassifyAll.
-	// <= 0 selects runtime.GOMAXPROCS(0); 1 runs the serial path. The
-	// classifications are identical for any value.
-	Parallelism int
 }
 
 // MphToMps converts miles per hour to meters per second.
@@ -271,17 +266,19 @@ func gpsAt(tr trace.GPSTrace, t int64, maxGap time.Duration) (geo.LatLon, bool) 
 	}
 }
 
-// ClassifyAll classifies every user outcome and returns parallel slices.
-// Users are classified on p.Parallelism workers into index-addressed
-// slots, so the result is identical for any worker count.
+// ClassifyAll classifies every user outcome, one after another, and
+// returns a slice parallel to outs. It is the serial reference the
+// facade's parallel engine is tested against.
 func ClassifyAll(outs []core.UserOutcome, p Params) ([]*Classification, error) {
-	return par.Map(p.Parallelism, len(outs), func(i int) (*Classification, error) {
-		c, err := ClassifyUser(outs[i], p)
+	cls := make([]*Classification, len(outs))
+	for i, o := range outs {
+		c, err := ClassifyUser(o, p)
 		if err != nil {
-			return nil, fmt.Errorf("classify: user %d: %w", outs[i].User.ID, err)
+			return nil, fmt.Errorf("classify: user %d: %w", o.User.ID, err)
 		}
-		return c, nil
-	})
+		cls[i] = c
+	}
+	return cls, nil
 }
 
 // Totals sums kind counts over a set of classifications.

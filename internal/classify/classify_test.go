@@ -313,3 +313,14 @@ func TestTotals(t *testing.T) {
 		t.Fatalf("totals = %v", tot)
 	}
 }
+
+// TestClassifyAllEmpty covers the zero-outcome edge case.
+func TestClassifyAllEmpty(t *testing.T) {
+	cls, err := ClassifyAll(nil, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cls) != 0 {
+		t.Fatalf("got %d classifications for no outcomes", len(cls))
+	}
+}

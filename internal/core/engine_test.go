@@ -4,7 +4,7 @@ package core_test
 // resumed validation run through one engine behind the facade
 // (geosocial.ValidateFileOpts), built from this package's per-user
 // building block, Validator.ValidateUserSpans. These tests pin that
-// engine against the in-memory ValidateDataset path: same partition,
+// engine against the serial reference ValidateDataset: same partition,
 // same per-user outcomes (compared through their outcome-log records),
 // and the duplicate-ID and error contracts, at worker counts 1 and 8.
 
@@ -107,13 +107,11 @@ func writeShardSet(t *testing.T, dir string, parts []*trace.Dataset) string {
 	return path
 }
 
-// referenceLog writes the in-memory path's outcome log for ds:
+// referenceLog writes the serial references' outcome log for ds:
 // ValidateDataset, ClassifyAll, one record per user.
 func referenceLog(t *testing.T, ds *trace.Dataset) ([]byte, core.Partition) {
 	t.Helper()
-	v := core.NewValidator()
-	v.Parallelism = 1
-	outs, part, err := v.ValidateDataset(ds)
+	outs, part, err := core.NewValidator().ValidateDataset(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +252,6 @@ func TestValidateStreamSinkError(t *testing.T) {
 func TestValidateShardsMatchesDataset(t *testing.T) {
 	ds := onGrid(t, 0.05, 42)
 	ref := core.NewValidator()
-	ref.Parallelism = 1
 	_, wantPart, err := ref.ValidateDataset(ds)
 	if err != nil {
 		t.Fatal(err)

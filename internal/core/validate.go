@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"geosocial/internal/par"
 	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 	"geosocial/internal/visits"
@@ -12,8 +11,9 @@ import (
 
 // UserOutcome bundles one user's detected visits and matching result.
 // Visits are snapped to POIs only when validation was given a POI
-// database (ValidateDataset). The facade's streaming engine passes none,
-// since nothing it reports reads the snap, so its visits carry POIID -1.
+// database: ValidateDataset and the facade's in-memory runs pass one
+// (Figures 3 and 4 read the snap); file and shard runs pass none, since
+// nothing they report reads it, so their visits carry POIID -1.
 type UserOutcome struct {
 	User   *trace.User
 	Visits []trace.Visit
@@ -88,38 +88,17 @@ func (p Partition) String() string {
 		p.Missing, 100*p.MissingRatio(), p.Visits)
 }
 
-// Validator runs the full §4 pipeline: visit detection followed by
+// Validator runs the full §4 pipeline: visit detection with the paper's
+// stay-point parameters (visits.DefaultConfig) followed by
 // checkin-to-visit matching, per user and dataset-wide.
 type Validator struct {
 	// Params are the matching thresholds (DefaultParams when zero).
 	Params Params
-	// VisitConfig parameterizes stay-point detection
-	// (visits.DefaultConfig when zero).
-	VisitConfig visits.Config
-	// Parallelism is the number of workers used to validate users.
-	// <= 0 selects runtime.GOMAXPROCS(0); 1 runs the serial path. The
-	// outcomes and partition are identical for any value: per-user work is
-	// collected into index-addressed slots and reduced serially.
-	Parallelism int
 }
 
 // NewValidator returns a validator with the paper's parameters.
 func NewValidator() *Validator {
-	return &Validator{Params: DefaultParams(), VisitConfig: visits.DefaultConfig()}
-}
-
-// resolve returns the effective matching and visit-detection parameters,
-// substituting the paper defaults for zero values.
-func (v *Validator) resolve() (Params, visits.Config) {
-	params := v.Params
-	if params == (Params{}) {
-		params = DefaultParams()
-	}
-	vcfg := v.VisitConfig
-	if vcfg == (visits.Config{}) {
-		vcfg = visits.DefaultConfig()
-	}
-	return params, vcfg
+	return &Validator{Params: DefaultParams()}
 }
 
 // StageObserver receives one pipeline stage's instrumentation: n
@@ -141,11 +120,11 @@ func (p *Partition) Add(o UserOutcome) {
 }
 
 // ValidateUserSpans runs the §4 pipeline — visit detection then
-// matching — for one user, resolving zero-value validator fields to the
-// paper defaults. Visits are snapped to db's POIs; a nil db skips the
-// snap and leaves POIID -1, which changes no match. It is pure:
-// ValidateDataset and the facade's streaming engine both call it, which
-// is what makes their matches and partitions identical.
+// matching — for one user, resolving zero Params to the paper defaults.
+// Visits are snapped to db's POIs; a nil db skips the snap and leaves
+// POIID -1, which changes no match. It is pure: ValidateDataset and the
+// facade's engine both call it, which is what makes their matches and
+// partitions identical.
 //
 // seg observes the visit-detection (segment) stage and match the
 // checkin-matching stage, each as (1 user, wall time). Pass nil
@@ -154,12 +133,15 @@ func (p *Partition) Add(o UserOutcome) {
 // Observers only ever receive timings; they never influence the
 // outcome.
 func (v *Validator) ValidateUserSpans(u *trace.User, db *poi.DB, seg, match StageObserver) (UserOutcome, error) {
-	params, vcfg := v.resolve()
+	params := v.Params
+	if params == (Params{}) {
+		params = DefaultParams()
+	}
 	var t0 time.Time
 	if seg != nil {
 		t0 = time.Now()
 	}
-	vs, err := visits.Detect(u.GPS, vcfg, db)
+	vs, err := visits.Detect(u.GPS, visits.DefaultConfig(), db)
 	if seg != nil {
 		seg.Observe(1, time.Since(t0))
 	}
@@ -179,22 +161,22 @@ func (v *Validator) ValidateUserSpans(u *trace.User, db *poi.DB, seg, match Stag
 	return UserOutcome{User: u, Visits: vs, Match: res}, nil
 }
 
-// ValidateDataset runs visit detection and matching for every user and
-// returns the per-user outcomes with the dataset partition.
+// ValidateDataset runs visit detection (snapping visits to the dataset's
+// POIs) and matching for every user, one after another, and returns the
+// per-user outcomes with the dataset partition. It is the serial
+// reference the facade's parallel engine is tested against.
 func (v *Validator) ValidateDataset(ds *trace.Dataset) ([]UserOutcome, Partition, error) {
 	db, err := ds.DB()
 	if err != nil {
 		return nil, Partition{}, fmt.Errorf("core: %w", err)
 	}
-	outs, err := par.Map(v.Parallelism, len(ds.Users), func(i int) (UserOutcome, error) {
-		return v.ValidateUserSpans(ds.Users[i], db, nil, nil)
-	})
-	if err != nil {
-		return nil, Partition{}, err
-	}
+	outs := make([]UserOutcome, len(ds.Users))
 	var part Partition
-	for _, o := range outs {
-		part.Add(o)
+	for i, u := range ds.Users {
+		if outs[i], err = v.ValidateUserSpans(u, db, nil, nil); err != nil {
+			return nil, Partition{}, err
+		}
+		part.Add(outs[i])
 	}
 	return outs, part, nil
 }

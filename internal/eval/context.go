@@ -1,19 +1,15 @@
 package eval
 
 import (
-	"fmt"
-
 	"geosocial/internal/classify"
 	"geosocial/internal/core"
-	"geosocial/internal/par"
-	"geosocial/internal/rng"
-	"geosocial/internal/synth"
 	"geosocial/internal/trace"
 )
 
-// Context holds the generated datasets and the shared pipeline outputs
-// (visits, matches, classifications) every experiment consumes. Building
-// it once amortizes the expensive stages across experiments.
+// Context holds the datasets and the shared pipeline outputs (visits,
+// matches, classifications) every experiment consumes. The facade
+// (geosocial.Study) builds it from one validation of each cohort, so
+// the experiments share that work; this package only analyses it.
 type Context struct {
 	// Scale is the population scale relative to the paper's study
 	// (1.0 = 244 primary + 47 baseline users).
@@ -23,86 +19,14 @@ type Context struct {
 	Primary  *trace.Dataset
 	Baseline *trace.Dataset
 
+	// Outcomes carry visits snapped to each dataset's POIs (Figures 3
+	// and 4 read the snap).
 	PrimaryOuts  []core.UserOutcome
 	PrimaryPart  core.Partition
 	BaselineOuts []core.UserOutcome
 	BaselinePart core.Partition
 
 	Cls []*classify.Classification // primary, parallel to PrimaryOuts
-}
-
-// NewContext generates both datasets at the given scale and runs the full
-// §4–§5 pipeline on them, with the default worker count (GOMAXPROCS).
-func NewContext(scale float64, seed uint64) (*Context, error) {
-	return NewContextWorkers(scale, seed, 0)
-}
-
-// NewContextWorkers is NewContext with an explicit worker count for every
-// pipeline stage (<= 0 selects GOMAXPROCS, 1 the serial path). The context
-// is identical for any value: random streams are split serially before any
-// fan-out, and the two datasets are validated concurrently but reduced
-// into fixed fields.
-func NewContextWorkers(scale float64, seed uint64, workers int) (*Context, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("eval: scale must be positive, got %g", scale)
-	}
-	root := rng.New(seed)
-
-	primaryCfg := synth.PrimaryConfig().Scale(scale)
-	primaryCfg.Parallelism = workers
-	baselineCfg := synth.BaselineConfig().Scale(scale)
-	baselineCfg.Parallelism = workers
-
-	primary, err := synth.Generate(primaryCfg, root.Split("primary"))
-	if err != nil {
-		return nil, fmt.Errorf("eval: generate primary: %w", err)
-	}
-	baseline, err := synth.Generate(baselineCfg, root.Split("baseline"))
-	if err != nil {
-		return nil, fmt.Errorf("eval: generate baseline: %w", err)
-	}
-	ctx, err := NewContextFromDatasets(primary, baseline, workers)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Scale, ctx.Seed = scale, seed
-	return ctx, nil
-}
-
-// NewContextFromDatasets runs the shared §4–§5 pipeline (validation of
-// both datasets, classification of the primary) over already-generated
-// datasets. The two datasets are validated concurrently, each with the
-// worker budget split so the total stays within an explicit cap; results
-// are identical for any worker count.
-func NewContextFromDatasets(primary, baseline *trace.Dataset, workers int) (*Context, error) {
-	ctx := &Context{Primary: primary, Baseline: baseline}
-
-	v := core.NewValidator()
-	datasets := []*trace.Dataset{primary, baseline}
-	v.Parallelism = par.SplitBudget(workers, len(datasets))
-	outs := make([][]core.UserOutcome, len(datasets))
-	parts := make([]core.Partition, len(datasets))
-	err := par.ForErr(workers, len(datasets), func(i int) error {
-		var err error
-		outs[i], parts[i], err = v.ValidateDataset(datasets[i])
-		if err != nil {
-			return fmt.Errorf("eval: validate %s: %w", datasets[i].Name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx.PrimaryOuts, ctx.PrimaryPart = outs[0], parts[0]
-	ctx.BaselineOuts, ctx.BaselinePart = outs[1], parts[1]
-
-	clsParams := classify.DefaultParams()
-	clsParams.Parallelism = workers
-	ctx.Cls, err = classify.ClassifyAll(ctx.PrimaryOuts, clsParams)
-	if err != nil {
-		return nil, fmt.Errorf("eval: classify primary: %w", err)
-	}
-	return ctx, nil
 }
 
 // UserDays returns the total user-days of a dataset.

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"geosocial/internal/classify"
+	"geosocial/internal/core"
+	"geosocial/internal/rng"
+	"geosocial/internal/synth"
 )
 
 // sharedCtx is built once: context construction dominates test time.
@@ -12,13 +17,37 @@ var sharedCtx *Context
 func getCtx(t *testing.T) *Context {
 	t.Helper()
 	if sharedCtx == nil {
-		ctx, err := NewContext(0.15, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedCtx = ctx
+		sharedCtx = referenceContext(t, 0.15, 11)
 	}
 	return sharedCtx
+}
+
+// referenceContext builds a Context the way geosocial.GenerateStudy and
+// the facade do, from the serial references: both cohorts generated from
+// one root seed, validated with their POI snap, the primary classified.
+func referenceContext(t *testing.T, scale float64, seed uint64) *Context {
+	t.Helper()
+	root := rng.New(seed)
+	primary, err := synth.Generate(synth.PrimaryConfig().Scale(scale), root.Split("primary"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := synth.Generate(synth.BaselineConfig().Scale(scale), root.Split("baseline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := core.NewValidator()
+	ctx := &Context{Scale: scale, Seed: seed, Primary: primary, Baseline: baseline}
+	if ctx.PrimaryOuts, ctx.PrimaryPart, err = v.ValidateDataset(primary); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.BaselineOuts, ctx.BaselinePart, err = v.ValidateDataset(baseline); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Cls, err = classify.ClassifyAll(ctx.PrimaryOuts, classify.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	return ctx
 }
 
 func TestAllExperimentsRunAndRender(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"geosocial/internal/levy"
 	"geosocial/internal/manet"
-	"geosocial/internal/rng"
 	"geosocial/internal/stats"
 )
 
@@ -39,7 +38,6 @@ func RunMANET(ctx *Context, scale MANETScale, seed uint64) ([]MANETResult, error
 	}
 	var out []MANETResult
 	for _, m := range []*levy.Model{models.GPS, models.Honest, models.All} {
-		root := rng.New(seed).Split("manet-" + m.Name)
 		gen := levy.DefaultGenOptions()
 		gen.Duration = scale.Duration
 		// Spawn density targets ~5 initial neighbors per node regardless
@@ -47,21 +45,13 @@ func RunMANET(ctx *Context, scale MANETScale, seed uint64) ([]MANETResult, error
 		// enough for a giant component, sparse enough that the GPS
 		// model's dispersal visibly degrades connectivity over the run.
 		gen.SpawnKm = math.Sqrt(float64(scale.Nodes) * math.Pi / 5.0)
-		wps, err := m.Generate(scale.Nodes, gen, root.Split("mobility"))
-		if err != nil {
-			return nil, fmt.Errorf("eval: generate mobility for %q: %w", m.Name, err)
-		}
 		cfg := manet.DefaultConfig()
 		cfg.Nodes = scale.Nodes
 		cfg.Flows = scale.Flows
 		cfg.Duration = scale.Duration
-		sm, err := manet.NewSimulator(cfg, &manet.WaypointMobility{Schedules: wps}, root.Split("sim"))
+		metrics, err := manet.SimulateModel(m, gen, cfg, seed)
 		if err != nil {
-			return nil, fmt.Errorf("eval: simulator for %q: %w", m.Name, err)
-		}
-		metrics, err := sm.Run()
-		if err != nil {
-			return nil, fmt.Errorf("eval: run for %q: %w", m.Name, err)
+			return nil, fmt.Errorf("eval: %w", err)
 		}
 		out = append(out, MANETResult{Model: m.Name, Metrics: metrics})
 	}

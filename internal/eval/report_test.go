@@ -116,12 +116,3 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("unknown ID accepted")
 	}
 }
-
-func TestNewContextRejectsBadScale(t *testing.T) {
-	if _, err := NewContext(0, 1); err == nil {
-		t.Fatal("scale 0 accepted")
-	}
-	if _, err := NewContext(-1, 1); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-}

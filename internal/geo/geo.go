@@ -128,22 +128,6 @@ func (b BBox) Center() LatLon {
 	return LatLon{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 }
 
-// Expand grows the box by the given margin in meters on every side.
-func (b BBox) Expand(margin float64) BBox {
-	dLat := rad2deg(margin / EarthRadius)
-	// Longitude degrees shrink with latitude; use the worst (widest) case.
-	lat := math.Max(math.Abs(b.MinLat), math.Abs(b.MaxLat))
-	cos := math.Cos(deg2rad(lat))
-	if cos < 1e-6 {
-		cos = 1e-6
-	}
-	dLon := rad2deg(margin / (EarthRadius * cos))
-	return BBox{
-		MinLat: b.MinLat - dLat, MinLon: b.MinLon - dLon,
-		MaxLat: b.MaxLat + dLat, MaxLon: b.MaxLon + dLon,
-	}
-}
-
 // BoundsOf returns the tight bounding box of pts. It returns a zero box if
 // pts is empty.
 func BoundsOf(pts []LatLon) BBox {
@@ -185,9 +169,6 @@ func NewProjection(origin LatLon) *Projection {
 	}
 	return &Projection{origin: origin, cosLat: c}
 }
-
-// Origin returns the projection anchor.
-func (pr *Projection) Origin() LatLon { return pr.origin }
 
 // ToXY converts p to planar meters east (x) and north (y) of the origin.
 func (pr *Projection) ToXY(p LatLon) (x, y float64) {

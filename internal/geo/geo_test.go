@@ -122,13 +122,6 @@ func TestBBox(t *testing.T) {
 	if b.Contains(LatLon{34.50, -119.70}) {
 		t.Error("bbox contains point outside")
 	}
-	eb := b.Expand(1000)
-	if !eb.Contains(LatLon{34.4585, -119.65}) {
-		t.Error("expanded bbox missing point ~950m north")
-	}
-	if eb.Contains(LatLon{34.47, -119.65}) {
-		t.Error("expanded bbox contains point ~2.2km north")
-	}
 }
 
 func TestBoundsOfEmpty(t *testing.T) {

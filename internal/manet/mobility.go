@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"geosocial/internal/levy"
+	"geosocial/internal/rng"
 )
 
 // Mobility supplies node positions over time (planar kilometers).
@@ -35,6 +36,26 @@ func (w *WaypointMobility) Position(n int, t float64) (float64, float64) {
 
 // Nodes implements Mobility.
 func (w *WaypointMobility) Nodes() int { return len(w.Schedules) }
+
+// SimulateModel moves cfg.Nodes nodes under a fitted mobility model and
+// runs the simulation over them. Both random streams derive from seed
+// and the model's name, so each model's run is reproducible on its own.
+func SimulateModel(m *levy.Model, gen levy.GenOptions, cfg Config, seed uint64) (*Metrics, error) {
+	root := rng.New(seed).Split("manet-" + m.Name)
+	wps, err := m.Generate(cfg.Nodes, gen, root.Split("mobility"))
+	if err != nil {
+		return nil, fmt.Errorf("manet: generate mobility for %q: %w", m.Name, err)
+	}
+	sm, err := NewSimulator(cfg, &WaypointMobility{Schedules: wps}, root.Split("sim"))
+	if err != nil {
+		return nil, fmt.Errorf("manet: simulator for %q: %w", m.Name, err)
+	}
+	metrics, err := sm.Run()
+	if err != nil {
+		return nil, fmt.Errorf("manet: run for %q: %w", m.Name, err)
+	}
+	return metrics, nil
+}
 
 // StaticMobility pins nodes to fixed positions; used by protocol tests.
 type StaticMobility struct {

@@ -65,27 +65,6 @@ func FitPareto(xs []float64, xm float64) (ParetoFit, error) {
 	return ParetoFit{Xm: xm, Alpha: float64(n) / sum, N: n}, nil
 }
 
-// FitParetoAuto fits a Pareto distribution using the sample minimum
-// (clamped below by minXm) as the scale parameter.
-func FitParetoAuto(xs []float64, minXm float64) (ParetoFit, error) {
-	if len(xs) == 0 {
-		return ParetoFit{}, ErrInsufficientData
-	}
-	xm := math.Inf(1)
-	for _, x := range xs {
-		if x > 0 && x < xm {
-			xm = x
-		}
-	}
-	if math.IsInf(xm, 1) {
-		return ParetoFit{}, ErrInsufficientData
-	}
-	if xm < minXm {
-		xm = minXm
-	}
-	return FitPareto(xs, xm)
-}
-
 // PowerLawFit holds the parameters of the relation y = K * x^Exp, fitted
 // by least squares in log-log space. The paper fits movement time against
 // movement distance this way: t = k * d^(1-rho) (Figure 7b).

@@ -32,36 +32,12 @@ func TestFitParetoRecovery(t *testing.T) {
 	}
 }
 
-func TestFitParetoAuto(t *testing.T) {
-	s := rng.New(7)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = s.Pareto(5, 2)
-	}
-	fit, err := FitParetoAuto(xs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Xm-5) > 0.05 {
-		t.Errorf("auto xm = %g, want ~5", fit.Xm)
-	}
-	if math.Abs(fit.Alpha-2) > 0.1 {
-		t.Errorf("auto alpha = %g, want ~2", fit.Alpha)
-	}
-}
-
 func TestFitParetoErrors(t *testing.T) {
 	if _, err := FitPareto([]float64{1, 2}, 0); err == nil {
 		t.Error("xm=0 accepted")
 	}
 	if _, err := FitPareto([]float64{0.5}, 1); err == nil {
 		t.Error("all-below-xm accepted")
-	}
-	if _, err := FitParetoAuto(nil, 1); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := FitParetoAuto([]float64{-1, 0}, 1); err == nil {
-		t.Error("non-positive-only accepted")
 	}
 }
 

@@ -165,10 +165,6 @@ func validationFingerprint(o StreamOptions) string {
 	if params == (core.Params{}) {
 		params = core.DefaultParams()
 	}
-	vcfg := o.VisitConfig
-	if vcfg == (visits.Config{}) {
-		vcfg = visits.DefaultConfig()
-	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("gso-params|%+v|%+v", params, vcfg)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("gso-params|%+v|%+v", params, visits.DefaultConfig())))
 	return hex.EncodeToString(h[:6])
 }

@@ -151,3 +151,12 @@ func decodeJSON(t *testing.T, body io.ReadCloser, v any) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidationFingerprintPinned pins the default parameters' tag. It
+// names the service's cache, outcome-log and checkpoint directories, so
+// a change here orphans every persisted result.
+func TestValidationFingerprintPinned(t *testing.T) {
+	if got, want := validationFingerprint(StreamOptions{}), "3d4ebd42accd"; got != want {
+		t.Fatalf("validationFingerprint(defaults) = %q, want %q", got, want)
+	}
+}
